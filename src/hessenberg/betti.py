@@ -4,10 +4,12 @@ Hessenberg varieties via the combinatorial Betti-number formula."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from functools import lru_cache
+from math import comb
+from typing import Sequence
 
-from . import kernels
-from .permtables import allowed_matrix, perm_table, phi_minus_mask
+import numpy as np
+
 from .roots import HessenbergFunction, Root, roots_of
 
 Permutation = tuple[int, ...]  # one-line notation, 1-based values
@@ -19,6 +21,10 @@ class NotShortestRepresentative(ValueError):
 
 class ResultNotHessenberg(RuntimeError):
     """Conjugation produced a non-Hessenberg root set (implementation bug)."""
+
+
+class SizeGuard(ValueError):
+    """A requested size exceeds the --max-n guard or the Poincaré engine's bound."""
 
 
 def identity_permutation(n: int) -> Permutation:
@@ -46,12 +52,6 @@ def inversion_pairs(w: Permutation) -> set[Root]:
         for i in range(j + 1, n + 1)
         if w[i - 1] < w[j - 1]
     }
-
-
-def apply_to_root(w: Permutation, root: Root) -> Root:
-    """w(t_i - t_j) = t_{w(i)} - t_{w(j)}."""
-    i, j = root
-    return (w[i - 1], w[j - 1])
 
 
 def hessenberg_inversions(w: Permutation, h: HessenbergFunction) -> int:
@@ -138,30 +138,88 @@ class GradedPolynomial:
         )
 
 
+MAX_POINCARE_N = 13
+"""Largest n the Poincaré engine accepts. One call holds about
+(2^n + n 2^(n-1)) (n + |Phi_h^-|) + n 2^(n-1) (|Phi_h^-| + 1) int64 values,
+about 85 MB at n = 13 and 35 MB at n = 12, and each n doubles it or more."""
+
+
+def poincare_size_guard(n: int) -> None:
+    """Raise SizeGuard when n exceeds MAX_POINCARE_N."""
+    if n > MAX_POINCARE_N:
+        raise SizeGuard(f"n={n} exceeds the Poincaré engine bound {MAX_POINCARE_N}")
+
+
+@lru_cache(maxsize=None)
+def _subset_dp_plan(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list, list]:
+    """Index arrays of the subset DP on n positions; they depend on n alone.
+
+    One entry per pair (S, q) with q in S, ordered by |S|, then by the rank
+    of the mask S among those of its size, then by q. Per pair: the mask of
+    T = S minus {q}, q, |T|, and the DP buffer row where T's prefix sums
+    start (layer k holds k + 1 rows per k-subset, the first one zero). Also
+    the first pair and the first buffer row of each layer.
+    """
+    masks = np.arange(1 << n, dtype=np.int64)
+    size = np.bitwise_count(masks).astype(np.int64)
+    by_size = np.argsort(size, kind="stable")
+    first = np.searchsorted(size[by_size], np.arange(n + 1))
+    rank = np.empty_like(masks)
+    rank[by_size] = np.arange(1 << n) - first[size[by_size]]
+    subsets, q = np.nonzero((by_size[1:, None] >> np.arange(n)) & 1)
+    t = by_size[1:][subsets] ^ (np.int64(1) << q)
+    k = size[t]
+    layer_rows = [0]
+    for s in range(n + 1):
+        layer_rows.append(layer_rows[-1] + comb(n, s) * (s + 1))
+    row = np.array(layer_rows)[k] + rank[t] * (k + 1)
+    first_pair = np.searchsorted(k, np.arange(n + 1)).tolist()
+    return t, q, k, row, first_pair, layer_rows
+
+
 def poincare_polynomial(nu: Sequence[int], h: HessenbergFunction) -> GradedPolynomial:
     """Poincaré polynomial of the regular Hessenberg variety of Jordan type nu.
 
     Sums t^(2 |N^-(w) ∩ Phi_h^-|) over the w in S_n with w^{-1}(J_nu) inside
     Phi_h; coefficients run over degrees 0..|Phi_h^-| with trailing zeros kept.
+
+    The sum is a DP that places the values 1..n in increasing order. Its
+    state is the set S of filled positions and the position r of the last
+    value. Placing the next value at q adds |S ∩ (q, h(q)]| to the degree,
+    and when the step p (from value p to p + 1) lies in J_nu it needs
+    t_r - t_q in Phi_h, that is r <= h(q). Layer k stores, for every
+    k-subset S, prefix sums over its members r of the degree vectors, so
+    the sum over the allowed r is one lookup, and each layer is one gather
+    from the last.
     """
     n = h.n
     if sum(int(p) for p in nu) != n:
         raise ValueError(f"composition {tuple(nu)} does not sum to {n}")
-    table = perm_table(n)
-    nbins = len(roots_of(h)[0]) + 1
-    hist = kernels.poincare_histogram(
-        table.positions,
-        table.inv_masks,
-        allowed_matrix(h),
-        composition_simple_roots(nu),
-        phi_minus_mask(table, h),
-        nbins,
-    )
-    return GradedPolynomial(tuple(int(x) for x in hist))
+    poincare_size_guard(n)
+    t, q, k, row, first_pair, layer_rows = _subset_dp_plan(n)
+    hv = np.array(h.values, dtype=np.int64)
+    reach = hv - np.arange(1, n + 1)  # h(j) - j
+    pad = int(reach.max())  # largest degree step, so reads below degree 0 hit zeros
+    top = int(reach.sum())  # |Phi_h^-|
+    width = pad + top + 1
+    below_h = (np.int64(1) << hv) - 1  # 0-based positions r with r + 1 <= h(q)
+    above_q = below_h & ~((np.int64(2) << np.arange(n)) - 1)  # and r > q
+    step = np.bitwise_count(t & above_q[q])
+    in_j = np.zeros(n + 1, dtype=bool)
+    in_j[list(composition_simple_roots(nu))] = True
+    allowed = np.where(in_j[k], np.bitwise_count(t & below_h[q]), k)
+    gather = ((row + allowed) * width + pad - step)[:, None] + np.arange(top + 1)
+    dp = np.zeros((layer_rows[-1], width), dtype=np.int64)
+    dp[0, pad] = 1  # the empty placement
+    for s in range(1, n + 1):
+        placed = dp.take(gather[first_pair[s - 1] : first_pair[s]])
+        layer = dp[layer_rows[s] : layer_rows[s + 1]].reshape(-1, s + 1, width)
+        placed.reshape(-1, s, top + 1).cumsum(axis=1, out=layer[:, 1:, pad:])
+    return GradedPolynomial(tuple(dp[-1, pad:].tolist()))
 
 
 def poincare_polynomial_reference(nu: Sequence[int], h: HessenbergFunction) -> GradedPolynomial:
-    """Pure-Python restatement of poincare_polynomial, for cross-checking the kernels."""
+    """Pure-Python sum over S_n, the test oracle for poincare_polynomial."""
     import itertools
 
     n = h.n
@@ -171,16 +229,6 @@ def poincare_polynomial_reference(nu: Sequence[int], h: HessenbergFunction) -> G
         if satisfies_hessenberg_condition(w, j_indices, h):
             coeffs[hessenberg_inversions(w, h)] += 1
     return GradedPolynomial(tuple(coeffs))
-
-
-def qualifying_permutations(nu: Sequence[int], h: HessenbergFunction) -> Iterator[Permutation]:
-    """The w with w^{-1}(J_nu) in Phi_h, in lexicographic one-line order."""
-    import itertools
-
-    j_indices = composition_simple_roots(nu)
-    for w in itertools.permutations(range(1, h.n + 1)):
-        if satisfies_hessenberg_condition(w, j_indices, h):
-            yield w
 
 
 def shortest_coset_decompose(w: Permutation, nu1: int) -> tuple[Permutation, Permutation]:

@@ -1,6 +1,8 @@
 """Command-line front end: analyze, decompose, betti, orientations, verify, enumerate.
 
-Exit codes: 0 success, 1 usage error, 2 size guard, 3 theorem-check failure.
+Exit codes: 0 success; 1 usage error or invalid input; 2 size guard (n above
+--max-n, or above the Poincaré engine's bound for decompose, betti and
+verify); 3 theorem-check failure. Errors print one line to stderr.
 Conjecture findings are reported but never fail the exit code.
 """
 
@@ -10,13 +12,13 @@ import argparse
 import csv
 import hashlib
 import json
+import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import tempfile
 from pathlib import Path
 from typing import Optional, Sequence
 
-from . import kernels
-from .betti import GradedPolynomial, poincare_polynomial
+from .betti import GradedPolynomial, SizeGuard, poincare_polynomial, poincare_size_guard
 from .dot_action import (
     betti_table,
     chromatic_check,
@@ -60,10 +62,6 @@ WHICH_CHOICES = ("all", "thm61", "prop72", "prop73", "conj81", "oracles")
 CHROMATIC_CLI_BOUND = 6
 
 
-class SizeGuard(ValueError):
-    """Requested size exceeds the configured max-n guard."""
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse default exit code is 2; usage errors are 1 here
         self.print_usage(sys.stderr)
@@ -71,7 +69,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 class BettiCache:
-    """Content-addressed JSON cache of Poincaré coefficients keyed by (n, h, nu)."""
+    """Content-addressed JSON cache of Poincaré coefficients keyed by (n, h, nu).
+
+    An entry that cannot be read, or that stores another key, is a miss: a
+    one-line warning goes to stderr and the entry is rewritten. Entries are
+    written to a temporary file in the cache directory and renamed into
+    place, so no reader sees a partly written entry.
+    """
 
     def __init__(self, root: Path):
         self.root = Path(root)
@@ -86,22 +90,59 @@ class BettiCache:
     def poincare(self, nu: Partition, h: HessenbergFunction) -> GradedPolynomial:
         key = {"n": h.n, "h": list(h.values), "nu": list(nu)}
         path = self._path(key)
-        if path.exists():
-            payload = json.loads(path.read_text())
-            return GradedPolynomial(tuple(payload["coeffs"]))
+        coeffs = self._read(path, key)
+        if coeffs is not None:
+            return GradedPolynomial(coeffs)
         poly = poincare_polynomial(nu, h)
-        path.write_text(
-            json.dumps({"key": key, "coeffs": list(poly.coeffs)}, sort_keys=True)
-        )
+        self._write(path, {"key": key, "coeffs": list(poly.coeffs)})
         return poly
+
+    @staticmethod
+    def _read(path: Path, key: dict) -> Optional[tuple[int, ...]]:
+        """The stored coefficients, or None for a missing or unusable entry."""
+        try:
+            payload = json.loads(path.read_text())
+            coeffs = payload["coeffs"]
+            if payload["key"] != key:
+                problem = "stores another key"
+            elif isinstance(coeffs, list) and all(type(c) is int for c in coeffs):
+                return tuple(coeffs)
+            else:
+                problem = "has malformed coefficients"
+        except FileNotFoundError:
+            return None
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            problem = f"is unreadable ({type(exc).__name__})"
+        print(f"hessenberg: cache entry {path} {problem}; recomputing it", file=sys.stderr)
+        return None
+
+    def _write(self, path: Path, payload: dict) -> None:
+        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                json.dump(payload, fh, sort_keys=True)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+
+
+def _parse_ints(text: str, what: str) -> list[int]:
+    try:
+        return [int(part) for part in text.split(",")]
+    except ValueError as exc:
+        raise HessenbergError(f"cannot parse {what} {text!r} as comma-separated integers") from exc
 
 
 def _parse_h(text: str) -> HessenbergFunction:
-    try:
-        values = [int(part) for part in text.split(",")]
-    except ValueError as exc:
-        raise HessenbergError(f"cannot parse {text!r} as comma-separated integers") from exc
-    return validate_hessenberg(values)
+    return validate_hessenberg(_parse_ints(text, "h"))
+
+
+def _parse_composition(text: str, n: int) -> tuple[int, ...]:
+    parts = tuple(_parse_ints(text, "--nu"))
+    if min(parts) < 0 or sum(parts) != n:
+        raise HessenbergError(f"--nu {text} is not a composition of {n} into nonnegative parts")
+    return parts
 
 
 def _emit_json(payload, out) -> None:
@@ -201,8 +242,8 @@ def cmd_betti(args, out) -> int:
     h = _parse_h(args.h)
     _guard(h.n, args.max_n)
     cache = BettiCache(Path(args.cache_dir)) if args.cache_dir else None
-    if args.nu:
-        compositions = [tuple(int(p) for p in args.nu.split(","))]
+    if args.nu is not None:
+        compositions = [_parse_composition(args.nu, h.n)]
     else:
         compositions = list(partitions_of(h.n))
     rows = []
@@ -284,25 +325,20 @@ def _reports_for(h: HessenbergFunction, which: str) -> list[CheckReport]:
 
 def cmd_verify(args, out) -> int:
     target = args.target
-    if "," in target:
-        functions = [_parse_h(target)]
-        _guard(functions[0].n, args.max_n)
+    single = "," in target
+    if single:
+        h = _parse_h(target)
+        n = h.n
     else:
         try:
             n = int(target)
         except ValueError as exc:
             raise HessenbergError(f"cannot parse target {target!r}") from exc
-        _guard(n, args.max_n)
-        functions = list(enumerate_hessenberg_functions(n))
+    _guard(n, args.max_n)
+    poincare_size_guard(n)
+    functions = [h] if single else list(enumerate_hessenberg_functions(n))
 
-    workers = args.threads if args.threads > 0 else None
-    if args.threads == 1:
-        batches = [_reports_for(h, args.which) for h in functions]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(lambda h: _reports_for(h, args.which), functions))
-
-    reports = [r for batch in batches for r in batch]
+    reports = [r for h in functions for r in _reports_for(h, args.which)]
     failed = [r for r in reports if not r.passed and not r.conjecture]
     findings = [r for r in reports if not r.passed and r.conjecture]
     payload = {
@@ -327,16 +363,9 @@ def cmd_verify(args, out) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="hessenberg", description=__doc__)
     parser.add_argument("--max-n", type=int, default=7, help="size guard (default 7)")
-    parser.add_argument("--threads", type=int, default=0, help="worker threads, 0 = auto")
     parser.add_argument("--cache-dir", default=None, help="cache directory for Betti tables")
     parser.add_argument(
         "--format", choices=("json", "csv", "pretty"), default="json", help="output format"
-    )
-    parser.add_argument(
-        "--kernel",
-        choices=("auto",) + kernels.available_backends(),
-        default="auto",
-        help="force a sweep kernel backend (default: HESSENBERG_KERNEL or auto)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -375,8 +404,6 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     args = parser.parse_args(argv)
     if args.max_n < 1:
         parser.error("--max-n must be at least 1")
-    if args.kernel != "auto":
-        kernels.set_backend(args.kernel)
     try:
         return args.fn(args, out)
     except SizeGuard as exc:
@@ -385,9 +412,6 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     except HessenbergError as exc:
         print(f"hessenberg: invalid input: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    finally:
-        if args.kernel != "auto":
-            kernels.set_backend(None)
 
 
 def console_main() -> None:

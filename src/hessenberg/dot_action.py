@@ -43,11 +43,6 @@ class GradedRepDecomposition:
             return 0
         return self.c[i][self.order.index(lam)]
 
-    def d_coeff(self, lam: Partition, i: int) -> int:
-        if i not in self.degrees:
-            return 0
-        return self.d[i][self.order.index(lam)]
-
     def to_json_dict(self) -> dict:
         def table(rows):
             out = {}

@@ -29,9 +29,6 @@ class IncomparabilityGraph:
     def n(self) -> int:
         return self.h.n
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(sorted(b if a == v else a for a, b in self.edges if v in (a, b)))
-
 
 def build_graph(h: HessenbergFunction) -> IncomparabilityGraph:
     """The incomparability graph of h."""
@@ -249,7 +246,8 @@ def restrict_orientation(
         if a not in removed and b not in removed
     ]
     # phi is monotone, so kept edges are already in the subgraph's sort order
-    assert tuple(e for e, _ in kept) == sub.edges
+    if tuple(e for e, _ in kept) != sub.edges:
+        raise RuntimeError(f"kept edges of omega do not match the graph of h_T for T={verts}")
     bits = tuple(right for _, right in kept)
     sinks, asc = _sinks_and_asc(sub, bits)
     return AcyclicOrientation(sub, bits, sinks, asc)

@@ -249,7 +249,7 @@ def lower_central_series(ideal: RootSet) -> IdealHeightReport:
 def enumerate_hessenberg_functions(n: int) -> Iterator[HessenbergFunction]:
     """All Hessenberg functions on [n], in lexicographic order of value sequences."""
     if n < 1:
-        raise ValueError("n must be positive")
+        raise OutOfRange(f"n = {n} is not positive")
 
     def extend(prefix: list[int], i: int) -> Iterator[HessenbergFunction]:
         if i > n:

@@ -39,7 +39,8 @@ from test_induction import DEGREE_SHIFT_TABLE, test_degree_shift_frozen_tables
 
 @pytest.fixture(scope="module", autouse=True)
 def warm_kernel():
-    # JIT compilation is a one-time cost, not part of any criterion's budget
+    # the first Poincaré call pays numpy's one-time set-up, which is not part
+    # of any criterion's budget
     poincare_polynomial((2,), validate_hessenberg([2, 2]))
 
 

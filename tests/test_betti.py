@@ -2,11 +2,13 @@ import itertools
 from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hessenberg import kernels
 from hessenberg.betti import (
+    MAX_POINCARE_N,
     GradedPolynomial,
     NotShortestRepresentative,
+    SizeGuard,
     composition_simple_roots,
     conjugated_hessenberg,
     hessenberg_inversions,
@@ -68,33 +70,53 @@ def test_poincare_golden_values():
     assert poincare_polynomial((1, 1, 1, 1), h).coeffs == (1, 11, 11, 1)
 
 
+def compositions_from(lam):
+    """lam, lam reversed, and both with a zero part put first, last or inside."""
+    rev = tuple(reversed(lam))
+    return {lam, rev, lam + (0,), (0,) + rev, rev[:1] + (0,) + rev[1:]}
+
+
 @pytest.mark.parametrize("n", range(1, 6))
-def test_kernel_matches_reference(n):
+def test_poincare_matches_reference(n):
     for h in all_h(n):
-        for nu in partitions_of(n):
-            expected = poincare_polynomial_reference(nu, h).coeffs
-            for backend in kernels.available_backends():
-                kernels.set_backend(backend)
-                try:
-                    assert poincare_polynomial(nu, h).coeffs == expected
-                finally:
-                    kernels.set_backend(None)
+        for lam in partitions_of(n):
+            for nu in compositions_from(lam):
+                expected = poincare_polynomial_reference(nu, h).coeffs
+                assert poincare_polynomial(nu, h).coeffs == expected
 
 
-@pytest.mark.parametrize("n", (6, 7))
-def test_backends_agree_on_larger_sizes(n):
-    if kernels.available_backends() == ("numpy",):
-        pytest.skip("numba unavailable")
-    for h in all_h(n)[::17]:
-        for nu in partitions_of(n):
-            results = []
-            for backend in kernels.available_backends():
-                kernels.set_backend(backend)
-                try:
-                    results.append(poincare_polynomial(nu, h).coeffs)
-                finally:
-                    kernels.set_backend(None)
-            assert results[0] == results[1]
+@st.composite
+def hessenberg_and_composition(draw):
+    n = draw(st.integers(1, 7))
+    values = []
+    for i in range(1, n + 1):
+        values.append(draw(st.integers(max(i, values[-1] if values else 1), n)))
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=n)))
+    nu = tuple(b - a for a, b in zip([0] + cuts, cuts + [n]))
+    return validate_hessenberg(values), draw(st.permutations(nu))
+
+
+@settings(max_examples=60, deadline=None)
+@given(hessenberg_and_composition())
+def test_poincare_matches_reference_on_random_input(case):
+    h, nu = case
+    assert poincare_polynomial(nu, h) == poincare_polynomial_reference(nu, h)
+
+
+@pytest.mark.parametrize(
+    "values",
+    ([11] * 11, list(range(2, 12)) + [11], [3, 5, 5, 7, 8, 9, 11, 11, 11, 11, 11]),
+)
+def test_semisimple_poincare_at_n11(values):
+    coeffs = poincare_polynomial((1,) * 11, validate_hessenberg(values)).coeffs
+    assert sum(coeffs) == factorial(11)
+    assert coeffs == coeffs[::-1]
+
+
+def test_poincare_refuses_n_above_engine_bound():
+    n = MAX_POINCARE_N + 1
+    with pytest.raises(SizeGuard):
+        poincare_polynomial((n,), validate_hessenberg([n] * n))
 
 
 @pytest.mark.parametrize("n", range(1, 8))

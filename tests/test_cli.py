@@ -1,6 +1,9 @@
 import io
 import json
 
+import pytest
+
+from hessenberg.betti import MAX_POINCARE_N
 from hessenberg.cli import (
     EXIT_CHECK_FAILED,
     EXIT_OK,
@@ -122,24 +125,6 @@ def test_verify_sweep_exit_zero():
     assert payload["summary"]["total"] > 0
 
 
-def test_verify_deterministic_across_threads():
-    outputs = []
-    for threads in ("1", "2", "4"):
-        code, text = run_cli("--threads", threads, "verify", "4", "all")
-        assert code == EXIT_OK
-        outputs.append(text)
-    assert outputs[0] == outputs[1] == outputs[2]
-
-
-def test_verify_kernel_backends_agree():
-    base = run_cli("--kernel", "numpy", "verify", "4", "conj81")
-    from hessenberg import kernels
-
-    if "numba" in kernels.available_backends():
-        other = run_cli("--kernel", "numba", "verify", "4", "conj81")
-        assert base == other
-
-
 def test_verify_exit_code_three_on_theorem_failure(monkeypatch):
     import hessenberg.cli as cli
 
@@ -169,6 +154,32 @@ def test_verify_usage_error():
     assert code == EXIT_USAGE
 
 
+BEYOND_ENGINE = ",".join([str(MAX_POINCARE_N + 1)] * (MAX_POINCARE_N + 1))
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (("betti", "2,3,3", "--nu", "2,x"), EXIT_USAGE),
+        (("betti", "2,3,3", "--nu", "5"), EXIT_USAGE),
+        (("betti", "2,3,3", "--nu", "2,-1,2"), EXIT_USAGE),
+        (("verify", "0"), EXIT_USAGE),
+        (("verify", "-3"), EXIT_USAGE),
+        (("enumerate", "0"), EXIT_USAGE),
+        (("--max-n", "20", "betti", BEYOND_ENGINE), EXIT_SIZE_GUARD),
+        (("--max-n", "20", "decompose", BEYOND_ENGINE), EXIT_SIZE_GUARD),
+        (("--max-n", "20", "verify", str(MAX_POINCARE_N + 1)), EXIT_SIZE_GUARD),
+    ],
+)
+def test_bad_input_fails_with_one_line(argv, expected, capsys):
+    code, text = run_cli(*argv)
+    captured = capsys.readouterr()
+    assert code == expected
+    assert text == captured.out == ""
+    assert captured.err.startswith("hessenberg: ")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
 def test_cache_reproduces_uncached(tmp_path):
     cache_dir = tmp_path / "cache"
     first = run_cli("--cache-dir", str(cache_dir), "betti", "2,3,4,4")
@@ -188,3 +199,25 @@ def test_cache_object_round_trip(tmp_path):
     direct = poincare_polynomial((3, 2), h)
     assert cache.poincare((3, 2), h).coeffs == direct.coeffs
     assert cache.poincare((3, 2), h).coeffs == direct.coeffs  # cache hit
+
+
+def test_cache_damaged_entries_are_misses(tmp_path, capsys):
+    cache_dir = tmp_path / "cache"
+    plain = run_cli("decompose", "2,2")
+    assert run_cli("--cache-dir", str(cache_dir), "decompose", "2,2") == plain
+    first, second = sorted(cache_dir.glob("*.json"))
+    good = json.loads(first.read_text())
+    first.write_text(first.read_text()[:7])  # truncated
+    second.write_text(json.dumps({**good, "coeffs": [9, 9]}))  # the other entry's key
+    capsys.readouterr()
+
+    assert run_cli("--cache-dir", str(cache_dir), "decompose", "2,2") == plain
+    warnings = capsys.readouterr().err.splitlines()
+    assert len(warnings) == 2
+    assert any(first.name in w and "unreadable" in w for w in warnings)
+    assert any(second.name in w and "another key" in w for w in warnings)
+
+    # both entries were rewritten, and no temporary file is left behind
+    assert run_cli("--cache-dir", str(cache_dir), "decompose", "2,2") == plain
+    assert capsys.readouterr().err == ""
+    assert sorted(p.name for p in cache_dir.iterdir()) == [first.name, second.name]
