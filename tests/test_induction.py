@@ -1,6 +1,9 @@
 import pytest
 
+import hessenberg.dot_action as dot_action
+import hessenberg.induction as induction
 from hessenberg.betti import (
+    GradedPolynomial,
     identity_permutation,
     inversion_pairs,
     perm_compose,
@@ -289,6 +292,99 @@ def test_conjecture_paper_n7_example():
     assert report.params["sink_sets"] == [
         {"T": [1, 4, 7], "deg": 4, "h_T": [2, 3, 4, 4]}
     ]
+
+
+# Failure certificates: one perturbed Poincaré value of h_T = (2,3,3), read
+# by all four checkers on h = (3,4,5,5,5), whose SK_2 restricts to h_T twice.
+PERTURBED_H_T = validate_hessenberg([2, 3, 3])
+SK2_OF_H5 = [
+    {"T": [1, 4], "deg": 2, "h_T": [2, 3, 3]},
+    {"T": [1, 5], "deg": 2, "h_T": [3, 3, 3]},
+    {"T": [2, 5], "deg": 3, "h_T": [2, 3, 3]},
+]
+
+
+def _coefficient_failure(lam, degree, expected, actual):
+    return {
+        "location": {"lambda": lam, "degree": degree},
+        "expected": expected,
+        "actual": actual,
+    }
+
+
+def _polynomial_failure(expected, actual):
+    return {"location": {"polynomial": "coefficients"}, "expected": expected, "actual": actual}
+
+
+@pytest.fixture
+def perturbed_h_t(monkeypatch):
+    """P_(3)(h_T) gains 1 at degree 1; every other Poincaré polynomial is exact."""
+
+    def perturbed(nu, h):
+        poly = poincare_polynomial(nu, h)
+        if h == PERTURBED_H_T and tuple(nu) == (3,):
+            return poly + GradedPolynomial((0, 1))
+        return poly
+
+    monkeypatch.setattr(dot_action, "poincare_polynomial", perturbed)
+    monkeypatch.setattr(induction, "poincare_polynomial", perturbed)
+    yield
+
+
+def test_two_part_induction_failure_certificate(perturbed_h_t):
+    assert check_two_part_induction(H5).to_json_dict() == {
+        "check": "two_part_induction",
+        "params": {"h": [3, 4, 5, 5, 5], "sink_sets": SK2_OF_H5},
+        "passed": False,
+        "conjecture": False,
+        "failures": [
+            _coefficient_failure([4, 1], 3, 7, 4),
+            _coefficient_failure([3, 2], 3, -2, 1),
+            _coefficient_failure([4, 1], 4, 7, 4),
+            _coefficient_failure([3, 2], 4, -2, 1),
+        ],
+    }
+
+
+def test_nilpotent_recursion_failure_certificate(perturbed_h_t):
+    assert check_nilpotent_poincare_recursion(H5).to_json_dict() == {
+        "check": "nilpotent_poincare_recursion",
+        "params": {"h": [3, 4, 5, 5, 5]},
+        "passed": False,
+        "conjecture": False,
+        "failures": [
+            _polynomial_failure([1, 4, 9, 14, 14, 9, 4, 1], [1, 4, 9, 13, 13, 9, 4, 1])
+        ],
+    }
+
+
+def test_regular_recursion_failure_certificate(perturbed_h_t):
+    assert check_regular_poincare_recursion(H5, (4, 1)).to_json_dict() == {
+        "check": "regular_poincare_recursion",
+        "params": {"h": [3, 4, 5, 5, 5], "nu": [4, 1]},
+        "passed": False,
+        "conjecture": False,
+        "failures": [
+            _polynomial_failure([1, 4, 11, 19, 19, 11, 4, 1], [1, 4, 11, 18, 18, 11, 4, 1])
+        ],
+    }
+    # mu = (2, 1) for nu = (3, 2): the perturbed P_(3)(h_T) is not read
+    assert check_regular_poincare_recursion(H5, (3, 2)).passed
+
+
+def test_maximal_sink_conjecture_failure_certificate(perturbed_h_t):
+    assert check_maximal_sink_conjecture(H5).to_json_dict() == {
+        "check": "maximal_sink_conjecture",
+        "params": {"h": [3, 4, 5, 5, 5], "m_gamma": 2, "sink_sets": SK2_OF_H5},
+        "passed": False,
+        "conjecture": True,
+        "failures": [
+            _coefficient_failure([4, 1], 3, 7, 4),
+            _coefficient_failure([4, 1], 4, 7, 4),
+            _coefficient_failure([3, 2], 3, -2, 1),
+            _coefficient_failure([3, 2], 4, -2, 1),
+        ],
+    }
 
 
 @pytest.mark.parametrize("n", range(3, 11))
