@@ -15,9 +15,11 @@ from .dot_action import (
     betti_table,
     chromatic_check,
     decompose,
+    decompose_table,
     e_positivity_report,
     gasharov_check,
     orientation_count_check,
+    orientation_histogram,
     zero_one_matrix_count,
 )
 from .induction import (

@@ -1,8 +1,8 @@
 """Command-line front end: analyze, decompose, betti, orientations, verify, enumerate.
 
-Exit codes: 0 success; 1 usage error or invalid input; 2 size guard (n above
---max-n, or above the Poincaré engine's bound for decompose, betti and
-verify); 3 theorem-check failure. Errors print one line to stderr.
+Exit codes: 0 success; 1 usage error, invalid input or unusable --cache-dir;
+2 size guard (n above --max-n, or above the Poincaré engine's bound for
+decompose, betti and verify); 3 theorem-check failure. Errors print one line to stderr.
 Conjecture findings are reported but never fail the exit code.
 """
 
@@ -20,9 +20,9 @@ from typing import Optional, Sequence
 
 from .betti import GradedPolynomial, SizeGuard, poincare_polynomial, poincare_size_guard
 from .dot_action import (
-    betti_table,
     chromatic_check,
     decompose,
+    decompose_table,
     e_positivity_report,
     gasharov_check,
     orientation_count_check,
@@ -205,11 +205,11 @@ def cmd_analyze(args, out) -> int:
 def cmd_decompose(args, out) -> int:
     h = _parse_h(args.h)
     _guard(h.n, args.max_n)
-    table = None
     if args.cache_dir:
         cache = BettiCache(Path(args.cache_dir))
-        table = betti_table(h, cache.poincare)
-    dec = decompose(h, table)
+        dec = decompose_table(h, {nu: cache.poincare(nu, h) for nu in partitions_of(h.n)})
+    else:
+        dec = decompose(h)
     positivity = e_positivity_report(h, dec)
     if args.format == "csv":
         writer = csv.writer(out)
@@ -363,7 +363,7 @@ def cmd_verify(args, out) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="hessenberg", description=__doc__)
     parser.add_argument("--max-n", type=int, default=7, help="size guard (default 7)")
-    parser.add_argument("--cache-dir", default=None, help="cache directory for Betti tables")
+    parser.add_argument("--cache-dir", default=None, help="Betti cache (decompose, betti)")
     parser.add_argument(
         "--format", choices=("json", "csv", "pretty"), default="json", help="output format"
     )
@@ -405,12 +405,17 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     if args.max_n < 1:
         parser.error("--max-n must be at least 1")
     try:
+        if args.format == "csv" and args.command not in ("decompose", "betti"):
+            raise HessenbergError("--format csv applies only to decompose and betti")
         return args.fn(args, out)
     except SizeGuard as exc:
         print(f"hessenberg: size guard: {exc}", file=sys.stderr)
         return EXIT_SIZE_GUARD
     except HessenbergError as exc:
         print(f"hessenberg: invalid input: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:  # e.g. a --cache-dir that cannot be created or written
+        print(f"hessenberg: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

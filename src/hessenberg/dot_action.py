@@ -5,7 +5,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from types import MappingProxyType
+from typing import Mapping, Optional, Sequence
 
 from .betti import GradedPolynomial, poincare_polynomial
 from .orientations import build_graph, enumerate_acyclic_orientations, max_sink_set_size
@@ -20,8 +21,6 @@ from .partitions import (
 )
 from .reports import CheckReport, mismatch, report_from_failures
 from .roots import HessenbergFunction, is_abelian, roots_of
-
-PoincareFn = Callable[[Partition, HessenbergFunction], GradedPolynomial]
 
 
 @dataclass(frozen=True)
@@ -63,22 +62,27 @@ class GradedRepDecomposition:
         }
 
 
-def betti_table(
-    h: HessenbergFunction, poincare_fn: Optional[PoincareFn] = None
-) -> dict[Partition, GradedPolynomial]:
-    """Poincaré polynomial of the regular Hessenberg variety for every nu of n."""
-    fn = poincare_fn or poincare_polynomial
-    return {nu: fn(nu, h) for nu in partitions_of(h.n)}
+@lru_cache(maxsize=None)
+def _betti_table(h: HessenbergFunction) -> Mapping[Partition, GradedPolynomial]:
+    return MappingProxyType({nu: poincare_polynomial(nu, h) for nu in partitions_of(h.n)})
 
 
-def decompose(
-    h: HessenbergFunction,
-    table: Optional[dict[Partition, GradedPolynomial]] = None,
+def betti_table(h: HessenbergFunction) -> Mapping[Partition, GradedPolynomial]:
+    """Poincaré polynomial of the regular Hessenberg variety for every nu of n.
+
+    Memoised per h by _betti_table. This plain front keeps perfbench's span
+    tracer, which reads the attributes of a memoised builder's result, off
+    the read-only mapping.
+    """
+    return _betti_table(h)
+
+
+def decompose_table(
+    h: HessenbergFunction, table: Mapping[Partition, GradedPolynomial]
 ) -> GradedRepDecomposition:
     """Solve N c_i = (Betti vector at degree i) for every degree, and derive d = K c."""
     n = h.n
     order = partitions_of(n)
-    table = table if table is not None else betti_table(h)
     degrees = len(roots_of(h)[0]) + 1
     c_rows, d_rows = [], []
     for i in range(degrees):
@@ -91,14 +95,26 @@ def decompose(
     )
 
 
+@lru_cache(maxsize=None)
+def decompose(h: HessenbergFunction) -> GradedRepDecomposition:
+    """The graded decomposition of h from its Betti table, memoised per h."""
+    return decompose_table(h, betti_table(h))
+
+
+@lru_cache(maxsize=None)
+def orientation_histogram(h: HessenbergFunction) -> Mapping[tuple[int, int], int]:
+    """Number of acyclic orientations of the graph of h per (sink count, ascent)."""
+    hist: dict[tuple[int, int], int] = {}
+    for omega in enumerate_acyclic_orientations(build_graph(h)):
+        key = (len(omega.sinks), omega.asc)
+        hist[key] = hist.get(key, 0) + 1
+    return MappingProxyType(hist)
+
+
 def orientation_count_check(h: HessenbergFunction, dec: GradedRepDecomposition) -> CheckReport:
     """Per (sink count k, ascent i): sum of c over k-part partitions equals the
     number of acyclic orientations with k sinks and ascent i."""
-    graph = build_graph(h)
-    hist: dict[tuple[int, int], int] = {}
-    for omega in enumerate_acyclic_orientations(graph):
-        key = (len(omega.sinks), omega.asc)
-        hist[key] = hist.get(key, 0) + 1
+    hist = orientation_histogram(h)
     failures = []
     for k in range(1, h.n + 1):
         for i in dec.degrees:

@@ -15,14 +15,13 @@ from .betti import (
     inversion_pairs,
     perm_compose,
     perm_inverse,
-    poincare_polynomial,
     satisfies_hessenberg_condition,
 )
-from .dot_action import decompose
+from .dot_action import GradedRepDecomposition, betti_table, decompose, orientation_histogram
 from .orientations import (
+    SinkSet,
     build_graph,
     degree_of,
-    enumerate_acyclic_orientations,
     max_sink_set_size,
     relabeling,
     restrict,
@@ -196,84 +195,112 @@ def degree_shift_check(
     return report_from_failures("degree_shift", params, failures)
 
 
-def _two_part_mu(lam: Partition) -> Optional[Partition]:
-    """lambda = (mu1+1, mu2+1) solved for mu, dropping a zero second part."""
-    if len(lam) != 2:
-        return None
-    mu = (lam[0] - 1, lam[1] - 1)
-    return mu if mu[1] else (mu[0],)
+def _less_first_column(lam: Partition) -> Partition:
+    """mu = (lambda_1 - 1, lambda_2 - 1, ...) with zero parts dropped."""
+    return tuple(p - 1 for p in lam if p > 1)
+
+
+Restrictions = list[tuple[SinkSet, Optional[HessenbergFunction]]]
+
+
+def _require_abelian(h: HessenbergFunction, what: str) -> None:
+    if h.n < 3:
+        raise ValueError(f"{what} needs n >= 3")
+    if not is_abelian(h):
+        raise ValueError(f"h={h} is not abelian")
+
+
+def _restrictions(h: HessenbergFunction, k: int) -> Restrictions:
+    """(T, h_T) for every T in SK_k; h_T is None when T holds every vertex."""
+    return [
+        (t, restrict(h, t) if k < h.n else None) for t in sink_sets(build_graph(h), k)
+    ]
+
+
+def _sink_set_sum(restrictions: Restrictions, f) -> GradedPolynomial:
+    """Sum over the (T, h_T) of t^(2 deg T) f(h_T), for f(h_T) a GradedPolynomial."""
+    return sum((f(h_t).shifted(t.degree) for t, h_t in restrictions), GradedPolynomial(()))
+
+
+def _sink_set_params(restrictions: Restrictions) -> list[dict]:
+    return [
+        {"T": list(t.vertices), "deg": t.degree, "h_T": list(h_t.values) if h_t else []}
+        for t, h_t in restrictions
+    ]
+
+
+def _c_polynomial(h_t: Optional[HessenbergFunction], mu: Partition) -> GradedPolynomial:
+    """The tabloid coefficients of mu in decompose(h_T), one per degree. With
+    no h_T (an edgeless graph) the empty decomposition is 1 at degree 0."""
+    if h_t is None:
+        return GradedPolynomial((1,))
+    dec = decompose(h_t)
+    return GradedPolynomial(tuple(dec.c_coeff(mu, i) for i in dec.degrees))
+
+
+def _coefficient_failures(
+    dec: GradedRepDecomposition, cells, rhs: dict[Partition, GradedPolynomial]
+) -> list[dict]:
+    """A mismatch for each (lambda, i) in cells where c_{lambda,i} differs from
+    the coefficient of t^(2i) in rhs[lambda] (zero for a lambda not in rhs)."""
+    failures = []
+    for lam, i in cells:
+        expected = rhs[lam].coefficient(i) if lam in rhs else 0
+        actual = dec.c_coeff(lam, i)
+        if actual != expected:
+            failures.append(mismatch({"lambda": list(lam), "degree": i}, expected, actual))
+    return failures
+
+
+def _first_column_sums(restrictions: Restrictions, lams) -> dict[Partition, GradedPolynomial]:
+    """Per lambda, the sum over the (T, h_T) of t^(2 deg T) times the c-polynomial
+    of lambda less its first column in decompose(h_T)."""
+    return {
+        lam: _sink_set_sum(restrictions, lambda h_t: _c_polynomial(h_t, _less_first_column(lam)))
+        for lam in lams
+    }
 
 
 def check_two_part_induction(h: HessenbergFunction) -> CheckReport:
     """For abelian h: every two-part coefficient is the degree-shifted sum of the
-    corresponding coefficients of the restricted functions h_T over SK_2."""
-    n = h.n
-    if n < 3:
-        raise ValueError("the induction formula needs n >= 3")
-    if not is_abelian(h):
-        raise ValueError(f"h={h} is not abelian")
+    corresponding coefficients of the restricted functions h_T over SK_2, and
+    every coefficient with three or more parts is zero."""
+    _require_abelian(h, "the induction formula")
     dec = decompose(h)
-    graph = build_graph(h)
-    restrictions = []
-    for t in sink_sets(graph, 2):
-        h_t = restrict(h, t)
-        restrictions.append((t, h_t, decompose(h_t)))
-    params = {
-        "h": list(h.values),
-        "sink_sets": [
-            {"T": list(t.vertices), "deg": t.degree, "h_T": list(h_t.values)}
-            for t, h_t, _ in restrictions
-        ],
-    }
-    failures = []
-    for i in dec.degrees:
-        for lam in dec.order.partitions:
-            if len(lam) == 1:
-                continue
-            lhs = dec.c_coeff(lam, i)
-            mu = _two_part_mu(lam)
-            rhs = 0
-            if mu is not None:
-                rhs = sum(
-                    sub.c_coeff(mu, i - t.degree) for t, _, sub in restrictions
-                )
-            if lhs != rhs:
-                failures.append(
-                    mismatch({"lambda": list(lam), "degree": i}, rhs, lhs)
-                )
+    restrictions = _restrictions(h, 2)
+    rhs = _first_column_sums(restrictions, [lam for lam in dec.order.partitions if len(lam) == 2])
+    cells = [(lam, i) for i in dec.degrees for lam in dec.order.partitions if len(lam) > 1]
+    params = {"h": list(h.values), "sink_sets": _sink_set_params(restrictions)}
+    failures = _coefficient_failures(dec, cells, rhs)
     return report_from_failures("two_part_induction", params, failures)
 
 
 def _one_sink_polynomial(h: HessenbergFunction) -> GradedPolynomial:
     """Trivial-representation coefficients read off one-sink orientation ascents."""
-    graph = build_graph(h)
-    coeffs = [0] * (len(graph.edges) + 1)
-    for omega in enumerate_acyclic_orientations(graph):
-        if len(omega.sinks) == 1:
-            coeffs[omega.asc] += 1
-    return GradedPolynomial(tuple(coeffs))
+    hist = orientation_histogram(h)
+    edges = len(build_graph(h).edges)
+    return GradedPolynomial(tuple(hist.get((1, i), 0) for i in range(edges + 1)))
 
 
-def check_nilpotent_poincare_recursion(h: HessenbergFunction) -> CheckReport:
-    """Nilpotent Poincaré polynomial = one-sink part + shifted nilpotent
-    polynomials of the h_T, coefficient-wise (abelian h)."""
-    n = h.n
-    if n < 3:
-        raise ValueError("the recursion needs n >= 3")
-    if not is_abelian(h):
-        raise ValueError(f"h={h} is not abelian")
-    lhs = poincare_polynomial((n,), h)
-    rhs = _one_sink_polynomial(h)
-    for t in sink_sets(build_graph(h), 2):
-        rhs = rhs + poincare_polynomial((n - 2,), restrict(h, t)).shifted(t.degree)
+def _polynomial_report(
+    name: str, params: dict, lhs: GradedPolynomial, rhs: GradedPolynomial
+) -> CheckReport:
     failures = []
     if lhs.normalized() != rhs.normalized():
         failures.append(
             mismatch({"polynomial": "coefficients"}, list(rhs.coeffs), list(lhs.coeffs))
         )
-    return report_from_failures(
-        "nilpotent_poincare_recursion", {"h": list(h.values)}, failures
-    )
+    return report_from_failures(name, params, failures)
+
+
+def check_nilpotent_poincare_recursion(h: HessenbergFunction) -> CheckReport:
+    """Nilpotent Poincaré polynomial = one-sink part + shifted nilpotent
+    polynomials of the h_T, coefficient-wise (abelian h)."""
+    _require_abelian(h, "the recursion")
+    n = h.n
+    sub = _sink_set_sum(_restrictions(h, 2), lambda h_t: betti_table(h_t)[(n - 2,)])
+    lhs, rhs = betti_table(h)[(n,)], _one_sink_polynomial(h) + sub
+    return _polynomial_report("nilpotent_poincare_recursion", {"h": list(h.values)}, lhs, rhs)
 
 
 def check_regular_poincare_recursion(
@@ -281,28 +308,15 @@ def check_regular_poincare_recursion(
 ) -> CheckReport:
     """Regular Poincaré polynomial for nu = (mu1+1, mu2+1) equals the nilpotent one
     plus shifted regular polynomials of type mu for the h_T (abelian h)."""
+    _require_abelian(h, "the recursion")
     n = h.n
-    if n < 3:
-        raise ValueError("the recursion needs n >= 3")
-    if not is_abelian(h):
-        raise ValueError(f"h={h} is not abelian")
     if len(nu) != 2 or nu[0] < nu[1] or nu[1] < 1 or sum(nu) != n:
         raise ValueError(f"nu={nu} is not a two-part partition of {n}")
-    mu = _two_part_mu(tuple(nu))
-    lhs = poincare_polynomial(nu, h)
-    rhs = poincare_polynomial((n,), h)
-    for t in sink_sets(build_graph(h), 2):
-        rhs = rhs + poincare_polynomial(mu, restrict(h, t)).shifted(t.degree)
-    failures = []
-    if lhs.normalized() != rhs.normalized():
-        failures.append(
-            mismatch({"polynomial": "coefficients"}, list(rhs.coeffs), list(lhs.coeffs))
-        )
-    return report_from_failures(
-        "regular_poincare_recursion",
-        {"h": list(h.values), "nu": list(nu)},
-        failures,
-    )
+    mu = _less_first_column(tuple(nu))
+    sub = _sink_set_sum(_restrictions(h, 2), lambda h_t: betti_table(h_t)[mu])
+    lhs, rhs = betti_table(h)[tuple(nu)], betti_table(h)[(n,)] + sub
+    params = {"h": list(h.values), "nu": list(nu)}
+    return _polynomial_report("regular_poincare_recursion", params, lhs, rhs)
 
 
 def check_maximal_sink_conjecture(h: HessenbergFunction) -> CheckReport:
@@ -311,47 +325,15 @@ def check_maximal_sink_conjecture(h: HessenbergFunction) -> CheckReport:
     A failure here is a finding, not a bug: the report carries a full
     counterexample certificate and never raises.
     """
-    n = h.n
-    if n < 2:
+    if h.n < 2:
         raise ValueError("the conjecture checker needs n >= 2")
     dec = decompose(h)
-    graph = build_graph(h)
-    m = max_sink_set_size(graph)
-    maximal = sink_sets(graph, m)
-    sub_parts = n - m
-    restrictions = []
-    for t in maximal:
-        h_t = restrict(h, t) if sub_parts else None
-        restrictions.append((t, h_t, decompose(h_t) if h_t else None))
-    params = {
-        "h": list(h.values),
-        "m_gamma": m,
-        "sink_sets": [
-            {
-                "T": list(t.vertices),
-                "deg": t.degree,
-                "h_T": list(h_t.values) if h_t else [],
-            }
-            for t, h_t, _ in restrictions
-        ],
-    }
-    failures = []
-    for lam in dec.order.partitions:
-        if len(lam) != m:
-            continue
-        mu = tuple(p - 1 for p in lam if p - 1)
-        for i in dec.degrees:
-            lhs = dec.c_coeff(lam, i)
-            rhs = 0
-            for t, h_t, sub in restrictions:
-                if sub is None:  # edgeless graph: the empty decomposition is 1 at degree 0
-                    rhs += 1 if i == t.degree else 0
-                else:
-                    rhs += sub.c_coeff(mu, i - t.degree)
-            if lhs != rhs:
-                failures.append(
-                    mismatch({"lambda": list(lam), "degree": i}, rhs, lhs)
-                )
+    m = max_sink_set_size(build_graph(h))
+    restrictions = _restrictions(h, m)
+    rhs = _first_column_sums(restrictions, [lam for lam in dec.order.partitions if len(lam) == m])
+    cells = [(lam, i) for lam in rhs for i in dec.degrees]
+    failures = _coefficient_failures(dec, cells, rhs)
+    params = {"h": list(h.values), "m_gamma": m, "sink_sets": _sink_set_params(restrictions)}
     return report_from_failures(
         "maximal_sink_conjecture", params, failures, conjecture=True
     )

@@ -51,10 +51,6 @@ class AcyclicOrientation:
     sinks: tuple[int, ...]
     asc: int
 
-    def target(self, k: int) -> int:
-        j, i = self.graph.edges[k]
-        return i if self.rightward[k] else j
-
 
 def _sinks_and_asc(graph: IncomparabilityGraph, rightward) -> tuple[tuple[int, ...], int]:
     has_out = [False] * (graph.n + 1)

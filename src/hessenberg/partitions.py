@@ -20,10 +20,6 @@ class NonIntegralSolution(ValueError):
     """The linear system has no integer solution (inconsistent input vector)."""
 
 
-def parts(lam: Partition) -> int:
-    return len(lam)
-
-
 def dual_partition(lam: Partition) -> Partition:
     """Transpose of the Young diagram, by column counting."""
     if not lam:

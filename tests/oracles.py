@@ -1,4 +1,5 @@
-"""Independent brute-force oracles used only by the tests.
+"""Independent brute-force oracles, and a random-input strategy, used only by
+the tests.
 
 Everything here is deliberately naive and kept separate from the package
 implementations it cross-checks.
@@ -9,6 +10,8 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 from math import factorial
+
+from hypothesis import strategies as st
 
 
 @lru_cache(maxsize=None)
@@ -142,3 +145,13 @@ def multinomial(parts: tuple[int, ...]) -> int:
     for p in parts:
         out //= factorial(p)
     return out
+
+
+@st.composite
+def hessenberg_values(draw, max_n: int) -> list[int]:
+    """Values of a random Hessenberg function: nondecreasing, i <= h(i) <= n."""
+    n = draw(st.integers(1, max_n))
+    values: list[int] = []
+    for i in range(1, n + 1):
+        values.append(draw(st.integers(max(i, values[-1] if values else 1), n)))
+    return values

@@ -2,6 +2,7 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hessenberg.betti import MAX_POINCARE_N
 from hessenberg.cli import (
@@ -16,6 +17,8 @@ from hessenberg.betti import poincare_polynomial
 from hessenberg.dot_action import decompose
 from hessenberg.reports import CheckReport
 from hessenberg.roots import validate_hessenberg
+
+from oracles import hessenberg_values
 
 
 def run_cli(*argv):
@@ -169,6 +172,9 @@ BEYOND_ENGINE = ",".join([str(MAX_POINCARE_N + 1)] * (MAX_POINCARE_N + 1))
         (("--max-n", "20", "betti", BEYOND_ENGINE), EXIT_SIZE_GUARD),
         (("--max-n", "20", "decompose", BEYOND_ENGINE), EXIT_SIZE_GUARD),
         (("--max-n", "20", "verify", str(MAX_POINCARE_N + 1)), EXIT_SIZE_GUARD),
+        (("--cache-dir", __file__, "decompose", "2,2"), EXIT_USAGE),  # a file, not a dir
+        (("--format", "csv", "verify", "3"), EXIT_USAGE),
+        (("--format", "csv", "orientations", "2,2"), EXIT_USAGE),
     ],
 )
 def test_bad_input_fails_with_one_line(argv, expected, capsys):
@@ -178,6 +184,44 @@ def test_bad_input_fails_with_one_line(argv, expected, capsys):
     assert text == captured.out == ""
     assert captured.err.startswith("hessenberg: ")
     assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
+GARBAGE = st.text(alphabet="0123456789,-x", max_size=8)
+
+
+@st.composite
+def cli_argv(draw):
+    """A command line at n <= 5: mostly well formed, sometimes not."""
+    values = draw(hessenberg_values(5))
+    h = draw(st.one_of(st.just(",".join(map(str, values))), GARBAGE))
+    argv = []
+    if draw(st.booleans()):
+        argv += ["--format", draw(st.sampled_from(["json", "csv", "pretty", "xml"]))]
+    if draw(st.booleans()):
+        argv += ["--max-n", str(draw(st.integers(-1, 6)))]
+    command = draw(
+        st.sampled_from(["analyze", "decompose", "betti", "orientations", "verify", "enumerate"])
+    )
+    if command == "verify":
+        argv += ["verify", draw(st.sampled_from([h, str(len(values))]))]
+        argv += draw(st.lists(st.sampled_from(["all", "thm61", "conj81", "bogus"]), max_size=1))
+    elif command == "enumerate":
+        argv += ["enumerate", draw(st.one_of(st.integers(-2, 5).map(str), GARBAGE))]
+    else:
+        argv += [command, h]
+    if command == "betti" and draw(st.booleans()):
+        argv += ["--nu", draw(st.one_of(st.just(str(len(values))), GARBAGE))]
+    return argv
+
+
+@settings(max_examples=60, deadline=None)
+@given(cli_argv())
+def test_main_never_raises_on_fuzzed_argv(argv):
+    try:
+        code = main(argv, io.StringIO())
+    except SystemExit:  # argparse rejected the command line
+        return
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_SIZE_GUARD, EXIT_CHECK_FAILED)
 
 
 def test_cache_reproduces_uncached(tmp_path):

@@ -1,14 +1,18 @@
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
 
+from hessenberg.betti import GradedPolynomial
 from hessenberg.dot_action import (
     betti_table,
     chromatic_check,
     decompose,
+    decompose_table,
     e_positivity_report,
     gasharov_check,
     orientation_count_check,
+    orientation_histogram,
     zero_one_matrix_count,
 )
 from hessenberg.partitions import (
@@ -24,7 +28,7 @@ from hessenberg.roots import (
     validate_hessenberg,
 )
 
-from oracles import brute_zero_one_matrix_count, mahonian
+from oracles import brute_zero_one_matrix_count, hessenberg_values, mahonian
 
 
 def all_h(n):
@@ -116,7 +120,8 @@ def test_decompose_reproduces_betti_vectors(n):
     for h in all_h(n):
         rows = fixed_space_matrix(n).rows
         table = betti_table(h)
-        dec = decompose(h, table)
+        dec = decompose_table(h, table)
+        assert dec == decompose(h)
         order = dec.order
         for i in dec.degrees:
             b = [table[nu].coefficient(i) for nu in order]
@@ -303,3 +308,16 @@ def test_decompose_json_schema():
     assert payload["m_gamma"] == 2
     assert payload["coeffs"]["c"]["1"] == {"4": 1, "3,1": 1, "2,2": 1}
     assert payload["coeffs"]["d"]["1"] == {"4": 3, "3,1": 2, "2,2": 1}
+
+
+@settings(max_examples=30, deadline=None)
+@given(hessenberg_values(5))
+def test_memoised_values_are_read_only(values):
+    h = validate_hessenberg(values)
+    with pytest.raises(TypeError):
+        betti_table(h)[(h.n,)] = GradedPolynomial((0,))
+    with pytest.raises(TypeError):
+        orientation_histogram(h)[(1, 0)] = 0
+    with pytest.raises(AttributeError):
+        decompose(h).c = ()
+    assert betti_table(h) is betti_table(h) and decompose(h) is decompose(h)

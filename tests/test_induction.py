@@ -1,7 +1,6 @@
 import pytest
 
 import hessenberg.dot_action as dot_action
-import hessenberg.induction as induction
 from hessenberg.betti import (
     GradedPolynomial,
     identity_permutation,
@@ -326,9 +325,13 @@ def perturbed_h_t(monkeypatch):
             return poly + GradedPolynomial((0, 1))
         return poly
 
+    memos = (dot_action._betti_table, dot_action.decompose)
+    for memo in memos:
+        memo.cache_clear()
     monkeypatch.setattr(dot_action, "poincare_polynomial", perturbed)
-    monkeypatch.setattr(induction, "poincare_polynomial", perturbed)
     yield
+    for memo in memos:  # keep the perturbed values out of later tests
+        memo.cache_clear()
 
 
 def test_two_part_induction_failure_certificate(perturbed_h_t):

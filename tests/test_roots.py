@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings
 
 from hessenberg.roots import (
     BelowDiagonal,
@@ -22,7 +23,7 @@ from hessenberg.roots import (
     validate_hessenberg,
 )
 
-from oracles import catalan
+from oracles import catalan, hessenberg_values
 
 
 def all_h(n):
@@ -88,6 +89,13 @@ def test_hessenberg_of_ideal_examples():
     assert hessenberg_of_ideal(RootSet.of(4, [(4, 1)])).values == (3, 4, 4, 4)
     assert hessenberg_of_ideal(RootSet.of(4, [])).values == (4, 4, 4, 4)
     assert hessenberg_of_ideal(RootSet.of(2, [(2, 1)])).values == (1, 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(hessenberg_values(9))
+def test_hessenberg_of_ideal_inverts_ideal_of(values):
+    h = validate_hessenberg(values)
+    assert hessenberg_of_ideal(ideal_of(h)) == h
 
 
 def test_hessenberg_of_ideal_rejects_non_ideals():
