@@ -6,6 +6,7 @@ from .betti import (
     conjugated_hessenberg,
     hessenberg_inversions,
     poincare_polynomial,
+    poincare_polynomials,
     satisfies_hessenberg_condition,
     shortest_coset_decompose,
     shortest_coset_representatives,

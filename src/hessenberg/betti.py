@@ -140,8 +140,10 @@ class GradedPolynomial:
 
 MAX_POINCARE_N = 13
 """Largest n the Poincaré engine accepts. One call holds about
-(2^n + n 2^(n-1)) (n + |Phi_h^-|) + n 2^(n-1) (|Phi_h^-| + 1) int64 values,
-about 85 MB at n = 13 and 35 MB at n = 12, and each n doubles it or more."""
+(2^n + n 2^(n-1)) (n + |Phi_h^-|) int64 DP values, and n 2^(n-1) (|Phi_h^-| + 1)
+int64 gather indices for each value of a J_nu bit it meets. For h = (n,...,n)
+the process peak grows by about 90 MB for one composition and 130 MB for all
+partitions at n = 13, 35 and 55 MB at n = 12; each n doubles it or more."""
 
 
 def poincare_size_guard(n: int) -> None:
@@ -177,11 +179,15 @@ def _subset_dp_plan(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
     return t, q, k, row, first_pair, layer_rows
 
 
-def poincare_polynomial(nu: Sequence[int], h: HessenbergFunction) -> GradedPolynomial:
-    """Poincaré polynomial of the regular Hessenberg variety of Jordan type nu.
+def poincare_polynomials(
+    h: HessenbergFunction, compositions: Sequence[Sequence[int]]
+) -> list[GradedPolynomial]:
+    """Poincaré polynomial of the regular Hessenberg variety of Jordan type
+    nu, for each nu in compositions, in input order.
 
-    Sums t^(2 |N^-(w) ∩ Phi_h^-|) over the w in S_n with w^{-1}(J_nu) inside
-    Phi_h; coefficients run over degrees 0..|Phi_h^-| with trailing zeros kept.
+    Each sums t^(2 |N^-(w) ∩ Phi_h^-|) over the w in S_n with w^{-1}(J_nu)
+    inside Phi_h; coefficients run over degrees 0..|Phi_h^-| with trailing
+    zeros kept.
 
     The sum is a DP that places the values 1..n in increasing order. Its
     state is the set S of filled positions and the position r of the last
@@ -190,12 +196,19 @@ def poincare_polynomial(nu: Sequence[int], h: HessenbergFunction) -> GradedPolyn
     t_r - t_q in Phi_h, that is r <= h(q). Layer k stores, for every
     k-subset S, prefix sums over its members r of the degree vectors, so
     the sum over the allowed r is one lookup, and each layer is one gather
-    from the last.
+    from the last. Layer s reads nu only through whether step s - 1 lies in
+    J_nu, so the compositions are taken in the order of their J_nu bit
+    vectors, each one recomputes only the layers after its first bit that
+    differs from the previous one, and the gather of each (layer, bit) is
+    built once.
     """
     n = h.n
-    if sum(int(p) for p in nu) != n:
-        raise ValueError(f"composition {tuple(nu)} does not sum to {n}")
+    for nu in compositions:
+        if sum(int(p) for p in nu) != n:
+            raise ValueError(f"composition {tuple(nu)} does not sum to {n}")
     poincare_size_guard(n)
+    simple_roots = [set(composition_simple_roots(nu)) for nu in compositions]
+    bits = [tuple(p in j for p in range(n)) for j in simple_roots]  # bit 0 is never set
     t, q, k, row, first_pair, layer_rows = _subset_dp_plan(n)
     hv = np.array(h.values, dtype=np.int64)
     reach = hv - np.arange(1, n + 1)  # h(j) - j
@@ -204,18 +217,33 @@ def poincare_polynomial(nu: Sequence[int], h: HessenbergFunction) -> GradedPolyn
     width = pad + top + 1
     below_h = (np.int64(1) << hv) - 1  # 0-based positions r with r + 1 <= h(q)
     above_q = below_h & ~((np.int64(2) << np.arange(n)) - 1)  # and r > q
-    step = np.bitwise_count(t & above_q[q])
-    in_j = np.zeros(n + 1, dtype=bool)
-    in_j[list(composition_simple_roots(nu))] = True
-    allowed = np.where(in_j[k], np.bitwise_count(t & below_h[q]), k)
-    gather = ((row + allowed) * width + pad - step)[:, None] + np.arange(top + 1)
+    start = row * width + pad - np.bitwise_count(t & above_q[q])
+    # members r read, by whether step |T| is in J_nu; the cast keeps the uint8
+    # of bitwise_count from wrapping in allowed * width
+    allowed = (k, np.bitwise_count(t & below_h[q]).astype(np.int64))
+    gathers: dict[tuple[int, bool], np.ndarray] = {}
     dp = np.zeros((layer_rows[-1], width), dtype=np.int64)
     dp[0, pad] = 1  # the empty placement
-    for s in range(1, n + 1):
-        placed = dp.take(gather[first_pair[s - 1] : first_pair[s]])
-        layer = dp[layer_rows[s] : layer_rows[s + 1]].reshape(-1, s + 1, width)
-        placed.reshape(-1, s, top + 1).cumsum(axis=1, out=layer[:, 1:, pad:])
-    return GradedPolynomial(tuple(dp[-1, pad:].tolist()))
+    polys: dict[tuple[bool, ...], GradedPolynomial] = {}
+    done: tuple[bool, ...] = ()
+    for key in sorted(set(bits)):
+        first = next((p for p, (a, b) in enumerate(zip(key, done)) if a != b), 0)
+        for s in range(first + 1, n + 1):
+            pairs, bit = slice(first_pair[s - 1], first_pair[s]), key[s - 1]
+            if (s, bit) not in gathers:
+                cell = start[pairs] + allowed[bit][pairs] * width
+                gathers[s, bit] = cell[:, None] + np.arange(top + 1)
+            placed = dp.take(gathers[s, bit])
+            layer = dp[layer_rows[s] : layer_rows[s + 1]].reshape(-1, s + 1, width)
+            placed.reshape(-1, s, top + 1).cumsum(axis=1, out=layer[:, 1:, pad:])
+        polys[key] = GradedPolynomial(tuple(dp[-1, pad:].tolist()))
+        done = key
+    return [polys[key] for key in bits]
+
+
+def poincare_polynomial(nu: Sequence[int], h: HessenbergFunction) -> GradedPolynomial:
+    """Poincaré polynomial of the regular Hessenberg variety of Jordan type nu."""
+    return poincare_polynomials(h, [nu])[0]
 
 
 def poincare_polynomial_reference(nu: Sequence[int], h: HessenbergFunction) -> GradedPolynomial:

@@ -20,6 +20,7 @@ from typing import Optional, Sequence
 
 from .betti import GradedPolynomial, SizeGuard, poincare_polynomial, poincare_size_guard
 from .dot_action import (
+    betti_table,
     chromatic_check,
     decompose,
     decompose_table,
@@ -243,12 +244,14 @@ def cmd_betti(args, out) -> int:
     _guard(h.n, args.max_n)
     cache = BettiCache(Path(args.cache_dir)) if args.cache_dir else None
     if args.nu is not None:
-        compositions = [_parse_composition(args.nu, h.n)]
+        nu = _parse_composition(args.nu, h.n)
+        polys = {nu: cache.poincare(nu, h) if cache else poincare_polynomial(nu, h)}
+    elif cache:
+        polys = {nu: cache.poincare(nu, h) for nu in partitions_of(h.n)}
     else:
-        compositions = list(partitions_of(h.n))
+        polys = betti_table(h)
     rows = []
-    for nu in compositions:
-        poly = cache.poincare(nu, h) if cache else poincare_polynomial(nu, h)
+    for nu, poly in polys.items():
         rows.append({"nu": list(nu), "h": list(h.values), "coeffs": list(poly.coeffs)})
     if args.format == "csv":
         writer = csv.writer(out)

@@ -8,7 +8,7 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
-from .betti import GradedPolynomial, poincare_polynomial
+from .betti import GradedPolynomial, poincare_polynomials
 from .orientations import build_graph, enumerate_acyclic_orientations, max_sink_set_size
 from .partitions import (
     Partition,
@@ -64,7 +64,8 @@ class GradedRepDecomposition:
 
 @lru_cache(maxsize=None)
 def _betti_table(h: HessenbergFunction) -> Mapping[Partition, GradedPolynomial]:
-    return MappingProxyType({nu: poincare_polynomial(nu, h) for nu in partitions_of(h.n)})
+    order = partitions_of(h.n).partitions
+    return MappingProxyType(dict(zip(order, poincare_polynomials(h, order))))
 
 
 def betti_table(h: HessenbergFunction) -> Mapping[Partition, GradedPolynomial]:

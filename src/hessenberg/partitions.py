@@ -4,8 +4,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from math import factorial
-from typing import Iterator, Sequence
+from types import MappingProxyType
+from typing import Iterator, Mapping, Sequence
 
 from .roots import HessenbergFunction
 
@@ -79,34 +81,33 @@ def kostka(nu: Partition, lam: Partition) -> int:
     """Number of semistandard Young tableaux of shape nu and content lam."""
     if sum(nu) != sum(lam):
         raise SizeMismatch(f"|{nu}| != |{lam}|")
-    return _kostka(tuple(nu), tuple(lam))
+    return _fillings(tuple(lam)).get(tuple(nu), 0)
+
+
+def _horizontal_strips(shape: Partition, k: int) -> Iterator[Partition]:
+    """Every shape that adds k cells to shape, no two of them in one column."""
+    rows = (*shape, 0)
+    tops = (rows[0] + k, *shape)  # row i may grow up to the old length of row i - 1
+    for grown in product(*(range(lo, hi + 1) for lo, hi in zip(rows, tops))):
+        if sum(grown) == sum(rows) + k:
+            yield grown if grown[-1] else grown[:-1]
 
 
 @lru_cache(maxsize=None)
-def _kostka(nu: Partition, lam: Partition) -> int:
-    cells = [(r, c) for r, width in enumerate(nu) for c in range(width)]
-    budget = list(lam)
-    grid = [[0] * width for width in nu]
-    count = 0
+def _fillings(content: tuple[int, ...]) -> Mapping[Partition, int]:
+    """Number of semistandard tableaux of the given content, per shape.
 
-    def fill(pos: int) -> None:
-        nonlocal count
-        if pos == len(cells):
-            count += 1
-            return
-        r, c = cells[pos]
-        lo = grid[r][c - 1] if c > 0 else 1  # rows weakly increase
-        if r > 0:
-            lo = max(lo, grid[r - 1][c] + 1)  # columns strictly increase
-        for v in range(lo, len(budget) + 1):
-            if budget[v - 1]:
-                budget[v - 1] -= 1
-                grid[r][c] = v
-                fill(pos + 1)
-                budget[v - 1] += 1
-
-    fill(0)
-    return count
+    The cells holding the largest entry of such a tableau form a horizontal
+    strip, so the table for content grows the one for content[:-1] by every
+    horizontal strip of content[-1] cells.
+    """
+    if not content:
+        return MappingProxyType({(): 1})
+    out: dict[Partition, int] = {}
+    for shape, count in _fillings(content[:-1]).items():
+        for grown in _horizontal_strips(shape, content[-1]):
+            out[grown] = out.get(grown, 0) + count
+    return MappingProxyType(out)
 
 
 @dataclass(frozen=True)
@@ -132,9 +133,8 @@ class IntegerMatrix:
 def kostka_matrix(n: int) -> IntegerMatrix:
     """K with K[nu][lam] = kostka(nu, lam); unit upper-triangular in the total order."""
     order = partitions_of(n)
-    rows = tuple(
-        tuple(kostka(nu, lam) for lam in order.partitions) for nu in order.partitions
-    )
+    columns = [_fillings(lam) for lam in order.partitions]
+    rows = tuple(tuple(col.get(nu, 0) for col in columns) for nu in order.partitions)
     return IntegerMatrix(order, rows)
 
 

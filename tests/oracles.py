@@ -68,6 +68,35 @@ def hook_length_count(shape: tuple[int, ...]) -> int:
     return factorial(sum(shape)) // product
 
 
+@lru_cache(maxsize=None)
+def ssyt_count(shape: tuple[int, ...], content: tuple[int, ...]) -> int:
+    """Semistandard Young tableaux of the given shape and content, by filling
+    the cells row by row with every admissible value."""
+    cells = [(r, c) for r, width in enumerate(shape) for c in range(width)]
+    budget = list(content)
+    grid = [[0] * width for width in shape]
+    count = 0
+
+    def fill(pos: int) -> None:
+        nonlocal count
+        if pos == len(cells):
+            count += 1
+            return
+        r, c = cells[pos]
+        lo = grid[r][c - 1] if c > 0 else 1  # rows weakly increase
+        if r > 0:
+            lo = max(lo, grid[r - 1][c] + 1)  # columns strictly increase
+        for v in range(lo, len(budget) + 1):
+            if budget[v - 1]:
+                budget[v - 1] -= 1
+                grid[r][c] = v
+                fill(pos + 1)
+                budget[v - 1] += 1
+
+    fill(0)
+    return count
+
+
 def mahonian(n: int) -> list[int]:
     """Permutations of [n] counted by inversion number (q-factorial coefficients)."""
     coeffs = [1]

@@ -1,5 +1,5 @@
 import itertools
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +18,7 @@ from hessenberg.betti import (
     perm_inverse,
     poincare_polynomial,
     poincare_polynomial_reference,
+    poincare_polynomials,
     satisfies_hessenberg_condition,
     shortest_coset_decompose,
     shortest_coset_representatives,
@@ -29,6 +30,8 @@ from hessenberg.roots import (
     roots_of,
     validate_hessenberg,
 )
+
+from oracles import hessenberg_values, mahonian
 
 
 def all_h(n):
@@ -101,6 +104,41 @@ def hessenberg_and_composition(draw):
 def test_poincare_matches_reference_on_random_input(case):
     h, nu = case
     assert poincare_polynomial(nu, h) == poincare_polynomial_reference(nu, h)
+
+
+@st.composite
+def hessenberg_and_compositions(draw):
+    """h at n <= 7 and 1-8 compositions of n, drawn with repeats from a pool of 1-4;
+    parts may be zero and come in any order."""
+    h = validate_hessenberg(draw(hessenberg_values(7)))
+    pool = []
+    for _ in range(draw(st.integers(1, 4))):
+        cuts = sorted(draw(st.lists(st.integers(0, h.n), max_size=h.n)))
+        nu = tuple(b - a for a, b in zip([0] + cuts, cuts + [h.n]))
+        pool.append(tuple(draw(st.permutations(nu))))
+    picks = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
+    return h, picks
+
+
+@settings(max_examples=40, deadline=None)
+@given(hessenberg_and_compositions())
+def test_poincare_polynomials_match_reference_in_input_order(case):
+    h, compositions = case
+    reference = {nu: poincare_polynomial_reference(nu, h) for nu in set(compositions)}
+    assert poincare_polynomials(h, compositions) == [reference[nu] for nu in compositions]
+
+
+def test_poincare_polynomials_at_n10_match_closed_forms():
+    n = 10
+    order = partitions_of(n).partitions
+    # the full flag variety for every nu: Mahonian numbers
+    full = poincare_polynomials(validate_hessenberg([n] * n), order)
+    assert [poly.normalized() for poly in full] == [tuple(mahonian(n))] * len(order)
+    # the Peterson variety: binomial Betti numbers; the semisimple type: all of S_n
+    peterson = validate_hessenberg(list(range(2, n + 1)) + [n])
+    nilpotent, semisimple = poincare_polynomials(peterson, [(n,), (1,) * n])
+    assert nilpotent.coeffs == tuple(comb(n - 1, i) for i in range(n))
+    assert semisimple.total() == factorial(n)
 
 
 @pytest.mark.parametrize(

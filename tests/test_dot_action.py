@@ -1,9 +1,10 @@
+import dataclasses
 from math import factorial
 
 import pytest
 from hypothesis import given, settings
 
-from hessenberg.betti import GradedPolynomial
+from hessenberg.betti import GradedPolynomial, poincare_polynomial
 from hessenberg.dot_action import (
     betti_table,
     chromatic_check,
@@ -21,6 +22,7 @@ from hessenberg.partitions import (
     dual_partition,
     fixed_space_matrix,
     partitions_of,
+    specht_from_tabloid,
 )
 from hessenberg.roots import (
     enumerate_hessenberg_functions,
@@ -55,6 +57,15 @@ def test_betti_table_values():
     for n in range(1, 6):
         for hh in all_h(n)[:: max(1, n - 2)]:
             assert betti_table(hh)[(1,) * n].total() == factorial(n)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_betti_table_matches_single_calls(n):
+    for h in all_h(n):
+        table = betti_table(h)
+        assert list(table) == list(partitions_of(n))
+        for nu, poly in table.items():
+            assert poly == poincare_polynomial(nu, h)
 
 
 def test_decompose_printed_table_2344():
@@ -321,3 +332,62 @@ def test_memoised_values_are_read_only(values):
     with pytest.raises(AttributeError):
         decompose(h).c = ()
     assert betti_table(h) is betti_table(h) and decompose(h) is decompose(h)
+
+
+def _perturbed_decomposition():
+    """decompose(2,3,4,5,5) with c_{(2,2,1),2} raised by one and d = K c recomputed."""
+    h = validate_hessenberg([2, 3, 4, 5, 5])
+    dec = decompose(h)
+    c = [list(row) for row in dec.c]
+    c[2][dec.order.index((2, 2, 1))] += 1
+    d = tuple(tuple(specht_from_tabloid(h.n, row)) for row in c)
+    return h, dataclasses.replace(dec, c=tuple(map(tuple, c)), d=d)
+
+
+def _failed(check, failures):
+    return {
+        "check": check,
+        "params": {"h": [2, 3, 4, 5, 5]},
+        "passed": False,
+        "conjecture": False,
+        "failures": [
+            {"location": location, "expected": expected, "actual": actual}
+            for location, expected, actual in failures
+        ],
+    }
+
+
+def test_orientation_check_failure_report():
+    h, dec = _perturbed_decomposition()
+    assert orientation_count_check(h, dec).to_json_dict() == _failed(
+        "orientation_counts", [({"sinks": 3, "degree": 2}, 1, 2)]
+    )
+
+
+def test_gasharov_check_failure_report():
+    # the d column of (2,2,1) moves by K[nu][(2,2,1)] = 1, 2, 2, 1, 1
+    h, dec = _perturbed_decomposition()
+    assert gasharov_check(h, dec).to_json_dict() == _failed(
+        "gasharov_tableaux",
+        [
+            ({"lambda": [5]}, 16, 17),
+            ({"lambda": [4, 1]}, 12, 14),
+            ({"lambda": [3, 2]}, 9, 11),
+            ({"lambda": [3, 1, 1]}, 1, 2),
+            ({"lambda": [2, 2, 1]}, 1, 2),
+        ],
+    )
+
+
+def test_chromatic_check_failure_report():
+    h, dec = _perturbed_decomposition()
+    assert chromatic_check(h, dec).to_json_dict() == _failed(
+        "chromatic_monomials",
+        [
+            ({"mu": [3, 2], "degree": 2}, 1, 2),
+            ({"mu": [3, 1, 1], "degree": 2}, 2, 4),
+            ({"mu": [2, 2, 1], "degree": 2}, 8, 13),
+            ({"mu": [2, 1, 1, 1], "degree": 2}, 22, 34),
+            ({"mu": [1, 1, 1, 1, 1], "degree": 2}, 66, 96),
+        ],
+    )

@@ -8,6 +8,7 @@ from hessenberg.betti import (
     perm_compose,
     perm_inverse,
     poincare_polynomial,
+    poincare_polynomials,
 )
 from hessenberg.induction import (
     BetaNotInIdeal,
@@ -319,16 +320,17 @@ def _polynomial_failure(expected, actual):
 def perturbed_h_t(monkeypatch):
     """P_(3)(h_T) gains 1 at degree 1; every other Poincaré polynomial is exact."""
 
-    def perturbed(nu, h):
-        poly = poincare_polynomial(nu, h)
-        if h == PERTURBED_H_T and tuple(nu) == (3,):
-            return poly + GradedPolynomial((0, 1))
-        return poly
+    def perturbed(h, compositions):
+        polys = poincare_polynomials(h, compositions)
+        return [
+            poly + GradedPolynomial((0, 1)) if h == PERTURBED_H_T and tuple(nu) == (3,) else poly
+            for nu, poly in zip(compositions, polys)
+        ]
 
     memos = (dot_action._betti_table, dot_action.decompose)
     for memo in memos:
         memo.cache_clear()
-    monkeypatch.setattr(dot_action, "poincare_polynomial", perturbed)
+    monkeypatch.setattr(dot_action, "poincare_polynomials", perturbed)
     yield
     for memo in memos:  # keep the perturbed values out of later tests
         memo.cache_clear()

@@ -25,6 +25,7 @@ from oracles import (
     dominates,
     hook_length_count,
     multinomial,
+    ssyt_count,
 )
 
 
@@ -68,20 +69,35 @@ def test_kostka_examples():
         kostka((2, 1), (2, 2))
 
 
-@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("n", range(2, 13))
 def test_kostka_dominance_support(n):
     for nu in partitions_of(n):
         for lam in partitions_of(n):
             assert (kostka(nu, lam) != 0) == dominates(nu, lam)
 
 
-@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("n", range(1, 13))
 def test_kostka_matrix_unit_upper_triangular(n):
     rows = kostka_matrix(n).rows
     for a in range(len(rows)):
         assert rows[a][a] == 1
         for b in range(a):
             assert rows[a][b] == 0
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_kostka_matrix_matches_ssyt_oracle(n):
+    k = kostka_matrix(n)
+    for nu in partitions_of(n):
+        for lam in partitions_of(n):
+            assert k.entry(nu, lam) == kostka(nu, lam) == ssyt_count(nu, lam)
+
+
+@pytest.mark.parametrize("n", range(1, 14))
+def test_kostka_standard_column_is_hook_length(n):
+    k = kostka_matrix(n)
+    for lam in partitions_of(n):
+        assert k.entry(lam, (1,) * n) == hook_length_count(lam)
 
 
 def test_fixed_space_examples():
