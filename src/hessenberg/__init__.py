@@ -59,8 +59,6 @@ from .partitions import (
     kostka_matrix,
     partitions_of,
     solve_fixed_space_system,
-    specht_from_tabloid,
-    tabloid_from_specht,
 )
 from .reports import CheckReport
 from .roots import (

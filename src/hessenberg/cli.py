@@ -20,6 +20,7 @@ from typing import Optional, Sequence
 
 from .betti import GradedPolynomial, SizeGuard, poincare_polynomial, poincare_size_guard
 from .dot_action import (
+    CHROMATIC_MAX_N,
     betti_table,
     chromatic_check,
     decompose,
@@ -60,7 +61,6 @@ EXIT_SIZE_GUARD = 2
 EXIT_CHECK_FAILED = 3
 
 WHICH_CHOICES = ("all", "thm61", "prop72", "prop73", "conj81", "oracles")
-CHROMATIC_CLI_BOUND = 6
 
 
 class _Parser(argparse.ArgumentParser):
@@ -72,8 +72,9 @@ class _Parser(argparse.ArgumentParser):
 class BettiCache:
     """Content-addressed JSON cache of Poincaré coefficients keyed by (n, h, nu).
 
-    An entry that cannot be read, or that stores another key, is a miss: a
-    one-line warning goes to stderr and the entry is rewritten. Entries are
+    An entry that cannot be read, that stores another key, or whose
+    coefficients are not |Phi_h^-| + 1 integers is a miss: a one-line
+    warning goes to stderr and the entry is rewritten. Entries are
     written to a temporary file in the cache directory and renamed into
     place, so no reader sees a partly written entry.
     """
@@ -91,7 +92,8 @@ class BettiCache:
     def poincare(self, nu: Partition, h: HessenbergFunction) -> GradedPolynomial:
         key = {"n": h.n, "h": list(h.values), "nu": list(nu)}
         path = self._path(key)
-        coeffs = self._read(path, key)
+        size = sum(h.values) - h.n * (h.n + 1) // 2 + 1  # |Phi_h^-| = sum of h(j) - j
+        coeffs = self._read(path, key, size)
         if coeffs is not None:
             return GradedPolynomial(coeffs)
         poly = poincare_polynomial(nu, h)
@@ -99,14 +101,18 @@ class BettiCache:
         return poly
 
     @staticmethod
-    def _read(path: Path, key: dict) -> Optional[tuple[int, ...]]:
+    def _read(path: Path, key: dict, size: int) -> Optional[tuple[int, ...]]:
         """The stored coefficients, or None for a missing or unusable entry."""
         try:
             payload = json.loads(path.read_text())
             coeffs = payload["coeffs"]
             if payload["key"] != key:
                 problem = "stores another key"
-            elif isinstance(coeffs, list) and all(type(c) is int for c in coeffs):
+            elif (
+                isinstance(coeffs, list)
+                and len(coeffs) == size
+                and all(type(c) is int for c in coeffs)
+            ):
                 return tuple(coeffs)
             else:
                 problem = "has malformed coefficients"
@@ -321,7 +327,7 @@ def _reports_for(h: HessenbergFunction, which: str) -> list[CheckReport]:
         reports.append(orientation_count_check(h, dec))
         reports.append(gasharov_check(h, dec))
         reports.append(e_positivity_report(h, dec))
-        if n <= CHROMATIC_CLI_BOUND:
+        if n <= CHROMATIC_MAX_N:
             reports.append(chromatic_check(h, dec))
     return reports
 

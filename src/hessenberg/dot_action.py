@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 from .betti import GradedPolynomial, poincare_polynomials
 from .orientations import build_graph, enumerate_acyclic_orientations, max_sink_set_size
@@ -17,10 +17,11 @@ from .partitions import (
     dual_partition,
     partitions_of,
     solve_fixed_space_system,
-    specht_from_tabloid,
 )
 from .reports import CheckReport, mismatch, report_from_failures
 from .roots import HessenbergFunction, is_abelian, roots_of
+
+CHROMATIC_MAX_N = 6  # largest n for the brute-force coloring walk; verify skips it above
 
 
 @dataclass(frozen=True)
@@ -81,19 +82,13 @@ def betti_table(h: HessenbergFunction) -> Mapping[Partition, GradedPolynomial]:
 def decompose_table(
     h: HessenbergFunction, table: Mapping[Partition, GradedPolynomial]
 ) -> GradedRepDecomposition:
-    """Solve N c_i = (Betti vector at degree i) for every degree, and derive d = K c."""
-    n = h.n
-    order = partitions_of(n)
-    degrees = len(roots_of(h)[0]) + 1
-    c_rows, d_rows = [], []
-    for i in range(degrees):
-        b = [table[nu].coefficient(i) for nu in order]
-        c = solve_fixed_space_system(n, b)
-        c_rows.append(tuple(c))
-        d_rows.append(tuple(specht_from_tabloid(n, c)))
-    return GradedRepDecomposition(
-        h, order, tuple(c_rows), tuple(d_rows), max_sink_set_size(build_graph(h))
+    """Solve N c_i = (Betti vector at degree i) for every degree, with d_i = K c_i."""
+    order = partitions_of(h.n)
+    degrees = range(len(roots_of(h)[0]) + 1)
+    c, d = solve_fixed_space_system(
+        h.n, [[table[nu].coefficient(i) for nu in order] for i in degrees]
     )
+    return GradedRepDecomposition(h, order, c, d, max_sink_set_size(build_graph(h)))
 
 
 @lru_cache(maxsize=None)
@@ -201,28 +196,21 @@ def _proper_coloring_ascents(graph, content: Sequence[int]) -> list[int]:
     return counts
 
 
-def chromatic_check(
-    h: HessenbergFunction,
-    dec: GradedRepDecomposition,
-    max_degree: Optional[int] = None,
-    max_n: int = 6,
-) -> CheckReport:
+def chromatic_check(h: HessenbergFunction, dec: GradedRepDecomposition) -> CheckReport:
     """Brute-force chromatic quasisymmetric coefficients against the prediction.
 
-    For each content partition mu and degree i (optionally capped by
-    max_degree), the number of proper colorings with content mu and ascent i
-    must equal sum over lambda of c_{lambda,i} * (0-1 matrices with row sums
-    lambda, column sums mu).
+    For each content partition mu and degree i, the number of proper
+    colorings with content mu and ascent i must equal sum over lambda of
+    c_{lambda,i} * (0-1 matrices with row sums lambda, column sums mu).
     """
-    if h.n > max_n:
-        raise ValueError(f"chromatic oracle limited to n <= {max_n}")
+    if h.n > CHROMATIC_MAX_N:
+        raise ValueError(f"chromatic oracle limited to n <= {CHROMATIC_MAX_N}")
     graph = build_graph(h)
     order = dec.order
-    degrees = dec.degrees if max_degree is None else range(min(max_degree + 1, len(dec.c)))
     failures = []
     for mu in order.partitions:
         colorings = _proper_coloring_ascents(graph, mu)
-        for i in degrees:
+        for i in dec.degrees:
             predicted = sum(
                 dec.c[i][pi] * zero_one_matrix_count(lam, mu)
                 for pi, lam in enumerate(order.partitions)

@@ -1,4 +1,5 @@
-"""Partitions, Kostka numbers, the fixed-space matrix N = K^T K, and tableau counts."""
+"""Partitions, Kostka numbers, the fixed-space matrix N = K^T K, tableau counts,
+and the one exact solve of N c = b, which yields both c and d = K c."""
 
 from __future__ import annotations
 
@@ -6,6 +7,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from math import factorial
+from operator import mul
 from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
@@ -19,7 +21,7 @@ class SizeMismatch(ValueError):
 
 
 class NonIntegralSolution(ValueError):
-    """The linear system has no integer solution (inconsistent input vector)."""
+    """A solve of N c = b whose c does not give back b under N."""
 
 
 def dual_partition(lam: Partition) -> Partition:
@@ -151,55 +153,34 @@ def fixed_space_matrix(n: int) -> IntegerMatrix:
     return IntegerMatrix(order, rows)
 
 
-def solve_unit_upper_gram(k_rows: Sequence[Sequence[int]], b: Sequence[int]) -> list[int]:
-    """Solve (K^T K) c = b for unit upper-triangular K, by two triangular solves."""
-    m = len(b)
-    # K^T y = b: K^T is unit lower-triangular
-    y = [0] * m
-    for i in range(m):
-        y[i] = b[i] - sum(k_rows[j][i] * y[j] for j in range(i))
-    # K c = y: back substitution
-    c = [0] * m
-    for i in range(m - 1, -1, -1):
-        c[i] = y[i] - sum(k_rows[i][j] * c[j] for j in range(i + 1, m))
-    return c
+def solve_fixed_space_system(
+    n: int, rows: Sequence[Sequence[int]]
+) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """The unique integer solutions of N c = b, one per vector b in rows, as (C, D).
 
-
-def solve_fixed_space_system(n: int, b: Sequence[int]) -> list[int]:
-    """The unique integer c with N c = b, indexed by partitions_of(n)."""
-    order = partitions_of(n)
-    if len(b) != len(order):
-        raise SizeMismatch(f"vector length {len(b)} != {len(order)} partitions of {n}")
-    k = kostka_matrix(n).rows
-    c = solve_unit_upper_gram(k, list(b))
-    check = [
-        sum(fixed_space_matrix(n).rows[i][j] * c[j] for j in range(len(c)))
-        for i in range(len(c))
-    ]
-    if check != list(b):
-        raise NonIntegralSolution(f"N c != b for b={list(b)}")
-    return c
-
-
-def specht_from_tabloid(n: int, c: Sequence[int]) -> list[int]:
-    """Coefficients d = K c taking a tabloid-basis vector to the Specht basis."""
+    N = K^T K with K unit upper-triangular, so the forward pass K^T d = b
+    gives d = K c, the Specht coefficients (Young's rule), and the back pass
+    K c = d gives c. Each c is rechecked exactly: c N must equal b.
+    """
     k = kostka_matrix(n).rows
     m = len(k)
-    if len(c) != m:
-        raise SizeMismatch(f"vector length {len(c)} != {m} partitions of {n}")
-    return [sum(k[i][j] * c[j] for j in range(m)) for i in range(m)]
-
-
-def tabloid_from_specht(n: int, d: Sequence[int]) -> list[int]:
-    """Inverse of specht_from_tabloid, by unit-triangular back substitution."""
-    k = kostka_matrix(n).rows
-    m = len(k)
-    if len(d) != m:
-        raise SizeMismatch(f"vector length {len(d)} != {m} partitions of {n}")
-    c = [0] * m
-    for i in range(m - 1, -1, -1):
-        c[i] = d[i] - sum(k[i][j] * c[j] for j in range(i + 1, m))
-    return c
+    k_columns = tuple(zip(*k))
+    n_rows = fixed_space_matrix(n).rows  # N is symmetric, so c N is N c
+    c_rows, d_rows = [], []
+    for b in rows:
+        if len(b) != m:
+            raise SizeMismatch(f"vector length {len(b)} != {m} partitions of {n}")
+        d: list[int] = []
+        for i in range(m):  # map stops at len(d) == i: the terms K[j][i] d[j], j < i
+            d.append(b[i] - sum(map(mul, k_columns[i], d)))
+        c = [0] * m
+        for i in range(m - 1, -1, -1):
+            c[i] = d[i] - sum(map(mul, k[i][i + 1 :], c[i + 1 :]))
+        if [sum(map(mul, row, c)) for row in n_rows] != list(b):
+            raise NonIntegralSolution(f"N c != b for b={list(b)}")
+        c_rows.append(tuple(c))
+        d_rows.append(tuple(d))
+    return tuple(c_rows), tuple(d_rows)
 
 
 def count_ph_tableaux(h: HessenbergFunction, shape: Partition) -> int:

@@ -247,21 +247,24 @@ def test_cache_object_round_trip(tmp_path):
 
 def test_cache_damaged_entries_are_misses(tmp_path, capsys):
     cache_dir = tmp_path / "cache"
-    plain = run_cli("decompose", "2,2")
-    assert run_cli("--cache-dir", str(cache_dir), "decompose", "2,2") == plain
-    first, second = sorted(cache_dir.glob("*.json"))
+    plain = run_cli("decompose", "2,3,3")
+    assert run_cli("--cache-dir", str(cache_dir), "decompose", "2,3,3") == plain
+    first, second, third = sorted(cache_dir.glob("*.json"))
     good = json.loads(first.read_text())
     first.write_text(first.read_text()[:7])  # truncated
     second.write_text(json.dumps({**good, "coeffs": [9, 9]}))  # the other entry's key
+    own = json.loads(third.read_text())
+    third.write_text(json.dumps({**own, "coeffs": [1]}))  # its own key, too few coefficients
     capsys.readouterr()
 
-    assert run_cli("--cache-dir", str(cache_dir), "decompose", "2,2") == plain
+    assert run_cli("--cache-dir", str(cache_dir), "decompose", "2,3,3") == plain
     warnings = capsys.readouterr().err.splitlines()
-    assert len(warnings) == 2
+    assert len(warnings) == 3
     assert any(first.name in w and "unreadable" in w for w in warnings)
     assert any(second.name in w and "another key" in w for w in warnings)
+    assert any(third.name in w and "malformed" in w for w in warnings)
 
-    # both entries were rewritten, and no temporary file is left behind
-    assert run_cli("--cache-dir", str(cache_dir), "decompose", "2,2") == plain
+    # every entry was rewritten, and no temporary file is left behind
+    assert run_cli("--cache-dir", str(cache_dir), "decompose", "2,3,3") == plain
     assert capsys.readouterr().err == ""
-    assert sorted(p.name for p in cache_dir.iterdir()) == [first.name, second.name]
+    assert sorted(p.name for p in cache_dir.iterdir()) == [first.name, second.name, third.name]

@@ -1,6 +1,7 @@
 from math import factorial
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from hessenberg.orientations import (
     NotASinkSet,
@@ -23,7 +24,7 @@ from hessenberg.roots import (
     validate_hessenberg,
 )
 
-from oracles import brute_acyclic_orientations
+from oracles import brute_acyclic_orientations, hessenberg_values
 
 
 def all_h(n):
@@ -175,6 +176,21 @@ def test_restrict_examples():
     assert restrict(h6, (1, 6)).values == (3, 4, 4, 4)
     assert restrict(h6, (2, 6)).values == (2, 4, 4, 4)
     assert restrict(h6, (3, 6)).values == (2, 3, 4, 4)
+
+
+@settings(max_examples=80, deadline=None)
+@given(hessenberg_values(8), st.data())
+def test_restrict_is_the_induced_subgraph(values, data):
+    h = validate_hessenberg(values)
+    graph = build_graph(h)
+    top = min(max_sink_set_size(graph), h.n - 1)
+    assume(top >= 1)
+    k = data.draw(st.integers(1, top))
+    t = data.draw(st.sampled_from(sink_sets(graph, k)))
+    kept = [v for v in range(1, h.n + 1) if v not in t.vertices]
+    rank = {v: r for r, v in enumerate(kept, start=1)}
+    induced = sorted((rank[a], rank[b]) for a, b in graph.edges if a in rank and b in rank)
+    assert build_graph(restrict(h, t)).edges == tuple(induced)
 
 
 def test_restrict_rejects_non_sink_sets():

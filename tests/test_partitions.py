@@ -3,7 +3,10 @@ from math import factorial
 
 import pytest
 
+from hessenberg import partitions
 from hessenberg.partitions import (
+    IntegerMatrix,
+    NonIntegralSolution,
     SizeMismatch,
     count_ph_tableaux,
     dim_tabloid,
@@ -13,9 +16,6 @@ from hessenberg.partitions import (
     kostka_matrix,
     partitions_of,
     solve_fixed_space_system,
-    solve_unit_upper_gram,
-    specht_from_tabloid,
-    tabloid_from_specht,
 )
 from hessenberg.roots import enumerate_hessenberg_functions, validate_hessenberg
 
@@ -144,14 +144,17 @@ def test_two_row_closed_form_matches_ssyt_matrix(n):
             assert mat.entry(lam, nu) == expected
 
 
+def _times(rows, c):
+    return tuple(sum(r * x for r, x in zip(row, c)) for row in rows)
+
+
 def test_solve_unit_vectors_round_trip():
+    # N is symmetric, so its rows are the images N e_k of the unit vectors
     for n in range(1, 7):
         rows = fixed_space_matrix(n).rows
         m = len(rows)
-        for k in range(m):
-            b = [rows[i][k] for i in range(m)]
-            c = solve_fixed_space_system(n, b)
-            assert c == [1 if i == k else 0 for i in range(m)]
+        c, _ = solve_fixed_space_system(n, rows)
+        assert c == tuple(tuple(int(i == k) for i in range(m)) for k in range(m))
 
 
 def test_solve_random_round_trip():
@@ -159,16 +162,38 @@ def test_solve_random_round_trip():
     for n in range(1, 8):
         rows = fixed_space_matrix(n).rows
         m = len(rows)
-        for _ in range(10):
-            c_true = [rng.randint(-9, 9) for _ in range(m)]
-            b = [sum(rows[i][j] * c_true[j] for j in range(m)) for i in range(m)]
-            assert solve_fixed_space_system(n, b) == c_true
+        c_true = tuple(tuple(rng.randint(-9, 9) for _ in range(m)) for _ in range(10))
+        c, _ = solve_fixed_space_system(n, [_times(rows, c_row) for c_row in c_true])
+        assert c == c_true
+
+
+def test_solve_rejects_wrong_length():
+    with pytest.raises(SizeMismatch):
+        solve_fixed_space_system(4, [[1, 2, 3]])
+
+
+def test_solve_recheck_is_live(monkeypatch):
+    # with one entry of N raised by one, the solved c no longer gives back b
+    n = 4
+    true_rows = fixed_space_matrix(n).rows
+    b = _times(true_rows, (1, 0, 2, 0, 1))
+    bumped = [list(row) for row in true_rows]
+    bumped[1][2] += 1
+    monkeypatch.setattr(
+        partitions,
+        "fixed_space_matrix",
+        lambda size: IntegerMatrix(partitions_of(size), tuple(map(tuple, bumped))),
+    )
+    with pytest.raises(NonIntegralSolution):
+        solve_fixed_space_system(n, [b])
+    monkeypatch.undo()
+    assert solve_fixed_space_system(n, [b])[0] == ((1, 0, 2, 0, 1),)
 
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_truncated_solve_agrees(n):
-    # vectors supported on partitions with <= k parts solve identically through
-    # the leading principal block
+    # vectors supported on partitions with <= k parts solve to c and d = K c
+    # supported there too, with d given by the leading principal block of K
     rng = random.Random(7 * n)
     order = partitions_of(n)
     k_rows = kostka_matrix(n).rows
@@ -178,34 +203,35 @@ def test_truncated_solve_agrees(n):
         assert keep == list(range(cut))  # the order sorts by part count
         sub_k = [[k_rows[i][j] for j in keep] for i in keep]
         for _ in range(5):
-            c_true = [rng.randint(-5, 5) if i < cut else 0 for i in range(len(order))]
-            full_b = [
-                sum(fixed_space_matrix(n).rows[i][j] * c_true[j] for j in range(len(order)))
-                for i in range(len(order))
-            ]
-            full = solve_fixed_space_system(n, full_b)
-            small = solve_unit_upper_gram(sub_k, full_b[:cut])
-            assert full == c_true
-            assert small == c_true[:cut]
+            c_true = tuple(rng.randint(-5, 5) if i < cut else 0 for i in range(len(order)))
+            (c,), (d,) = solve_fixed_space_system(
+                n, [_times(fixed_space_matrix(n).rows, c_true)]
+            )
+            assert c == c_true
+            assert d[:cut] == _times(sub_k, c_true[:cut])
+            assert not any(d[cut:])
 
 
 def test_young_rule_examples():
+    # the unit vector e_k solves N c = N e_k, and d = K e_k is column k of K
     for n in range(1, 7):
-        m = len(partitions_of(n))
-        e_first = [1] + [0] * (m - 1)
-        assert specht_from_tabloid(n, e_first) == e_first  # M^(n) is irreducible
-        e_last = [0] * (m - 1) + [1]
-        d = specht_from_tabloid(n, e_last)
-        for value, lam in zip(d, partitions_of(n).partitions):
+        rows = fixed_space_matrix(n).rows
+        _, (d_first, d_last) = solve_fixed_space_system(n, [rows[0], rows[-1]])
+        assert d_first == (1,) + (0,) * (len(rows) - 1)  # M^(n) is irreducible
+        for value, lam in zip(d_last, partitions_of(n).partitions):
             assert value == hook_length_count(lam)  # standard tableaux counts
 
 
 def test_young_rule_round_trip():
+    # the solve's forward pass gives d = K c for random c
     rng = random.Random(99)
     for n in range(1, 8):
-        m = len(partitions_of(n))
-        c = [rng.randint(-9, 9) for _ in range(m)]
-        assert tabloid_from_specht(n, specht_from_tabloid(n, c)) == c
+        rows = fixed_space_matrix(n).rows
+        m = len(rows)
+        c_true = [rng.randint(-9, 9) for _ in range(m)]
+        (c,), (d,) = solve_fixed_space_system(n, [_times(rows, c_true)])
+        assert c == tuple(c_true)
+        assert d == _times(kostka_matrix(n).rows, c_true)
 
 
 def test_ph_tableaux_golden():
