@@ -5,14 +5,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .betti import GradedPolynomial, poincare_polynomials
-from .orientations import build_graph, enumerate_acyclic_orientations, max_sink_set_size
+from .orientations import build_graph, max_sink_set_size, restrict_unchecked, sink_sets
 from .partitions import (
     Partition,
     PartitionOrder,
+    SizeMismatch,
     count_ph_tableaux,
     dual_partition,
     partitions_of,
@@ -82,12 +84,17 @@ def betti_table(h: HessenbergFunction) -> Mapping[Partition, GradedPolynomial]:
 def decompose_table(
     h: HessenbergFunction, table: Mapping[Partition, GradedPolynomial]
 ) -> GradedRepDecomposition:
-    """Solve N c_i = (Betti vector at degree i) for every degree, with d_i = K c_i."""
+    """Solve N c_i = (Betti vector at degree i) for every degree, with d_i = K c_i.
+
+    Every polynomial in table must hold exactly |Phi_h^-| + 1 coefficients.
+    """
     order = partitions_of(h.n)
-    degrees = range(len(roots_of(h)[0]) + 1)
-    c, d = solve_fixed_space_system(
-        h.n, [[table[nu].coefficient(i) for nu in order] for i in degrees]
-    )
+    size = len(roots_of(h)[0]) + 1
+    columns = [table[nu].coeffs for nu in order]
+    for nu, coeffs in zip(order, columns):
+        if len(coeffs) != size:
+            raise SizeMismatch(f"P_{nu} of h={h} has {len(coeffs)} coefficients, not {size}")
+    c, d = solve_fixed_space_system(h.n, list(zip(*columns)))
     return GradedRepDecomposition(h, order, c, d, max_sink_set_size(build_graph(h)))
 
 
@@ -97,13 +104,56 @@ def decompose(h: HessenbergFunction) -> GradedRepDecomposition:
     return decompose_table(h, betti_table(h))
 
 
+def _sink_set_polynomials(h: HessenbergFunction) -> list[list[int]]:
+    """[F_1, ..., F_m] with F_k = sum over T in SK_k of t^(deg T) A_{h_T}(t),
+    as coefficient lists of length |Phi_h^-| + 1. T = [n] occurs only for the
+    edgeless graph, and the empty graph left behind has A = 1."""
+    graph = build_graph(h)
+    sums = []
+    for k in range(1, max_sink_set_size(graph) + 1):
+        f = [0] * (len(graph.edges) + 1)
+        for t in sink_sets(graph, k):
+            sub = _ascent_polynomial(restrict_unchecked(h, t.vertices)) if k < h.n else (1,)
+            for i, a in enumerate(sub, start=t.degree):
+                f[i] += a
+        sums.append(f)
+    return sums
+
+
+@lru_cache(maxsize=None)
+def _ascent_polynomial(h: HessenbergFunction) -> tuple[int, ...]:
+    """A_h(t): the acyclic orientations of the graph of h counted by ascents.
+
+    Every acyclic orientation has a nonempty independent sink set, and the
+    edges joining a sink set T to the rest all point into T, an ascent exactly
+    when the larger end lies in T. So inclusion-exclusion over sink sets gives
+    A_h = sum over k of (-1)^(k+1) F_k; memoised per h.
+    """
+    sums = _sink_set_polynomials(h)
+    return tuple(
+        sum((-1) ** (k + 1) * f[i] for k, f in enumerate(sums, start=1))
+        for i in range(len(sums[0]))
+    )
+
+
 @lru_cache(maxsize=None)
 def orientation_histogram(h: HessenbergFunction) -> Mapping[tuple[int, int], int]:
-    """Number of acyclic orientations of the graph of h per (sink count, ascent)."""
+    """Number of acyclic orientations of the graph of h per (sink count, ascent).
+
+    F_k counts each orientation with s sinks C(s, k) times, once per k-subset
+    of its sinks, so binomial inversion gives the histogram:
+    sum over k >= s of (-1)^(k-s) C(k, s) F_k.
+    """
+    sums = _sink_set_polynomials(h)
     hist: dict[tuple[int, int], int] = {}
-    for omega in enumerate_acyclic_orientations(build_graph(h)):
-        key = (len(omega.sinks), omega.asc)
-        hist[key] = hist.get(key, 0) + 1
+    for s in range(1, len(sums) + 1):
+        for i in range(len(sums[0])):
+            count = sum(
+                (-1) ** (k - s) * comb(k, s) * sums[k - 1][i]
+                for k in range(s, len(sums) + 1)
+            )
+            if count:
+                hist[(s, i)] = count
     return MappingProxyType(hist)
 
 

@@ -235,7 +235,8 @@ def _c_polynomial(h_t: Optional[HessenbergFunction], mu: Partition) -> GradedPol
     if h_t is None:
         return GradedPolynomial((1,))
     dec = decompose(h_t)
-    return GradedPolynomial(tuple(dec.c_coeff(mu, i) for i in dec.degrees))
+    pi = dec.order.index(mu)
+    return GradedPolynomial(tuple(row[pi] for row in dec.c))
 
 
 def _coefficient_failures(

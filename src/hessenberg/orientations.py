@@ -166,18 +166,21 @@ def sink_sets(graph: IncomparabilityGraph, k: int) -> list[SinkSet]:
     if not 1 <= k <= graph.n:
         raise ValueError(f"k must lie in [1, {graph.n}]")
     h, found = graph.h, []
+    below = [0] * (graph.n + 1)  # below[i]: edges whose larger endpoint is i
+    for _, i in graph.edges:
+        below[i] += 1
 
-    def extend(chain: list[int]) -> None:
+    def extend(chain: list[int], degree: int) -> None:
         if len(chain) == k:
-            found.append(SinkSet(tuple(chain), degree_of(chain, graph)))
+            found.append(SinkSet(tuple(chain), degree))
             return
         start = h(chain[-1]) + 1 if chain else 1
         for v in range(start, graph.n + 1):
             chain.append(v)
-            extend(chain)
+            extend(chain, degree + below[v])
             chain.pop()
 
-    extend([])
+    extend([], 0)
     return found
 
 
@@ -202,6 +205,16 @@ def relabeling(n: int, removed: Iterable[int]) -> list[int]:
     return phi
 
 
+def restrict_unchecked(h: HessenbergFunction, vertices: Iterable[int]) -> HessenbergFunction:
+    """h_T for a sink set T the caller already holds, such as one from sink_sets,
+    and smaller than [n]: h_T(phi(i)) = phi(h(i)) for i outside T."""
+    phi = relabeling(h.n, vertices)
+    removed = set(vertices)
+    return HessenbergFunction(
+        tuple(phi[v] for i, v in enumerate(h.values, start=1) if i not in removed)
+    )
+
+
 def restrict(h: HessenbergFunction, T: Union[SinkSet, Iterable[int]]) -> HessenbergFunction:
     """The Hessenberg function h_T of the induced subgraph on [n] minus T."""
     verts = T.vertices if isinstance(T, SinkSet) else tuple(sorted(int(v) for v in T))
@@ -209,13 +222,9 @@ def restrict(h: HessenbergFunction, T: Union[SinkSet, Iterable[int]]) -> Hessenb
     _check_sink_set(graph, verts)
     if len(verts) == h.n:
         raise ValueError("cannot restrict away every vertex")
+    h_t = restrict_unchecked(h, verts)
     phi = relabeling(h.n, verts)
     removed = set(verts)
-    values = [0] * (h.n - len(verts))
-    for i in range(1, h.n + 1):
-        if i not in removed:
-            values[phi[i] - 1] = phi[h(i)]
-    h_t = HessenbergFunction(tuple(values))
     induced = tuple(
         sorted((phi[a], phi[b]) for a, b in graph.edges if a not in removed and b not in removed)
     )

@@ -3,6 +3,7 @@ and the one exact solve of N c = b, which yields both c and d = K c."""
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -187,33 +188,55 @@ def count_ph_tableaux(h: HessenbergFunction, shape: Partition) -> int:
     """Number of P_h-tableaux of the given shape.
 
     Each of 1..n appears once; an entry immediately right of j must exceed h(j);
-    an entry i immediately below j needs j <= h(i).
+    an entry i immediately below j needs j <= h(i). Counted row by row from
+    the top through _tableaux_below, whose memo is shared by every shape and h.
     """
-    n = h.n
-    if sum(shape) != n:
-        raise SizeMismatch(f"|{shape}| != {n}")
-    cells = [(r, c) for r, width in enumerate(shape) for c in range(width)]
-    grid = [[0] * width for width in shape]
-    used = [False] * (n + 1)
-    count = 0
+    if sum(shape) != h.n:
+        raise SizeMismatch(f"|{shape}| != {h.n}")
+    rows = tuple(p for p in shape if p)
+    if any(a < b for a, b in zip(rows, rows[1:])):
+        raise ValueError(f"{shape} is not a partition")
+    return _tableaux_below(bytes((*rows, 0, *h.values)) + b"\x01" * rows[0])
 
-    def fill(pos: int) -> None:
-        nonlocal count
-        if pos == len(cells):
-            count += 1
+
+@lru_cache(maxsize=None)
+def _tableaux_below(state: bytes) -> int:
+    """P_h-tableaux of the rows left, from the canonical state
+    bytes((*rows, 0, *h_U, *bounds)).
+
+    rows are the lengths of the rows left, top first. h_U is h induced on the
+    m unused values relabelled 1..m: h_U(a) counts the unused values <= h(u_a).
+    bounds[c] is the least rank the entry in column c of the top row left may
+    take: an entry i below j needs h(i) >= j, and h is nondecreasing. The
+    count depends on nothing else, so the memo is shared across shapes and h.
+    """
+    end = state.index(0)
+    rows = state[:end]
+    m = sum(rows)
+    h_u, bounds = state[end + 1 : end + 1 + m], state[end + 1 + m :]
+    width, rest = rows[0], rows[1:]
+    if not rest:  # the last row holds every value left, in increasing order
+        return int(
+            all(bounds[a] <= a + 1 for a in range(m))
+            and all(h_u[a] == a + 1 for a in range(m - 1))
+        )
+    total = 0
+    chain: list[int] = []
+
+    def extend(lo: int) -> None:
+        nonlocal total
+        col = len(chain)
+        if col == width:
+            kept = [a for a in range(1, m + 1) if a not in chain]
+            h_next = [bisect_right(kept, h_u[a - 1]) for a in kept]
+            # the least rank below v is the least a with h_U(a) >= v, among kept
+            below = [bisect_left(kept, bisect_left(h_u, v) + 1) + 1 for v in chain[: rest[0]]]
+            total += _tableaux_below(bytes((*rest, 0, *h_next, *below)))
             return
-        r, c = cells[pos]
-        for v in range(1, n + 1):
-            if used[v]:
-                continue
-            if c > 0 and v <= h(grid[r][c - 1]):
-                continue
-            if r > 0 and grid[r - 1][c] > h(v):
-                continue
-            used[v] = True
-            grid[r][c] = v
-            fill(pos + 1)
-            used[v] = False
+        for v in range(max(lo, bounds[col]), m - width + col + 2):
+            chain.append(v)
+            extend(h_u[v - 1] + 1)
+            chain.pop()
 
-    fill(0)
-    return count
+    extend(1)
+    return total

@@ -177,9 +177,9 @@ def multinomial(parts: tuple[int, ...]) -> int:
 
 
 @st.composite
-def hessenberg_values(draw, max_n: int) -> list[int]:
+def hessenberg_values(draw, max_n: int, min_n: int = 1) -> list[int]:
     """Values of a random Hessenberg function: nondecreasing, i <= h(i) <= n."""
-    n = draw(st.integers(1, max_n))
+    n = draw(st.integers(min_n, max_n))
     values: list[int] = []
     for i in range(1, n + 1):
         values.append(draw(st.integers(max(i, values[-1] if values else 1), n)))

@@ -16,7 +16,9 @@ from hessenberg.dot_action import (
     orientation_histogram,
     zero_one_matrix_count,
 )
+from hessenberg.orientations import build_graph, enumerate_acyclic_orientations
 from hessenberg.partitions import (
+    SizeMismatch,
     count_ph_tableaux,
     dim_tabloid,
     dual_partition,
@@ -147,6 +149,18 @@ def test_decompose_reproduces_betti_vectors(n):
             assert dec.d[i] == tuple(sum(x * y for x, y in zip(k_row, c)) for k_row in k_rows)
 
 
+def test_decompose_table_rejects_wrong_length():
+    # a Betti polynomial must hold |Phi_h^-| + 1 coefficients, trailing zeros too
+    h = validate_hessenberg([2, 3, 3])
+    table = dict(betti_table(h))
+    table[(3,)] = GradedPolynomial(table[(3,)].coeffs[:-1])
+    with pytest.raises(SizeMismatch):
+        decompose_table(h, table)
+    table[(3,)] = GradedPolynomial(betti_table(h)[(3,)].coeffs + (0,))
+    with pytest.raises(SizeMismatch):
+        decompose_table(h, table)
+
+
 @pytest.mark.parametrize("n", range(1, 8))
 def test_support_bound(n):
     for h in all_h(n):
@@ -198,12 +212,31 @@ def test_orientation_check_all(n):
         assert report.passed, report.failures
 
 
+@pytest.mark.parametrize("n", range(1, 8))
+def test_orientation_histogram_matches_enumerator(n):
+    # the sink-set recursion, its memo shared across every h, against the walk
+    for h in all_h(n):
+        walked = {}
+        for o in enumerate_acyclic_orientations(build_graph(h)):
+            key = (len(o.sinks), o.asc)
+            walked[key] = walked.get(key, 0) + 1
+        assert dict(orientation_histogram(h)) == walked
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_orientation_histogram_closed_forms(n):
+    # the complete graph: one sink, ascents counted like inversions (n! orders);
+    # the edgeless graph: one orientation, every vertex a sink
+    complete = orientation_histogram(validate_hessenberg([n] * n))
+    assert dict(complete) == {(1, i): a for i, a in enumerate(mahonian(n))}
+    edgeless = orientation_histogram(validate_hessenberg(range(1, n + 1)))
+    assert dict(edgeless) == {(n, 0): 1}
+
+
 def test_orientation_check_includes_example_ascent_five():
     h = validate_hessenberg([3, 4, 5, 5, 5])
     dec = decompose(h)
     total_asc5 = sum(dec.c[5])
-    from hessenberg.orientations import build_graph, enumerate_acyclic_orientations
-
     count = sum(
         1 for o in enumerate_acyclic_orientations(build_graph(h)) if o.asc == 5
     )

@@ -2,6 +2,8 @@ import random
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hessenberg import partitions
 from hessenberg.partitions import (
@@ -23,6 +25,7 @@ from oracles import (
     brute_nonneg_matrix_count,
     brute_ph_tableaux,
     dominates,
+    hessenberg_values,
     hook_length_count,
     multinomial,
     ssyt_count,
@@ -239,11 +242,28 @@ def test_ph_tableaux_golden():
     assert count_ph_tableaux(h, (2, 2, 1)) == 9
 
 
-@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("n", range(1, 7))
 def test_ph_tableaux_brute_force(n):
-    for h in list(enumerate_hessenberg_functions(n))[:: max(1, n - 2)]:
+    for h in enumerate_hessenberg_functions(n):
         for shape in partitions_of(n):
             assert count_ph_tableaux(h, shape) == brute_ph_tableaux(h.values, shape)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_ph_tableaux_memo_is_shared_safely(data):
+    # counts with the memo warmed by the h drawn before equal counts from an
+    # empty memo, so a state never carries one h's answer to another
+    pairs = []
+    for _ in range(data.draw(st.integers(1, 8))):
+        h = validate_hessenberg(data.draw(hessenberg_values(7)))
+        pairs.append((h, data.draw(st.sampled_from(partitions_of(h.n).partitions))))
+    warm = [count_ph_tableaux(h, shape) for h, shape in pairs]
+    fresh = []
+    for h, shape in pairs:
+        partitions._tableaux_below.cache_clear()
+        fresh.append(count_ph_tableaux(h, shape))
+    assert warm == fresh
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -260,13 +280,28 @@ def test_ph_tableaux_size_mismatch():
         count_ph_tableaux(validate_hessenberg([2, 2]), (3,))
 
 
+def test_ph_tableaux_rejects_non_partition():
+    with pytest.raises(ValueError):
+        count_ph_tableaux(validate_hessenberg([2, 3, 3]), (1, 2))
+    assert count_ph_tableaux(validate_hessenberg([2, 3, 3]), (2, 1, 0)) == 1
+
+
+def _gasharov_total(h):
+    """Sum over lambda of (P_h-tableaux of the dual shape) * (standard tableaux of lambda)."""
+    return sum(
+        count_ph_tableaux(h, dual_partition(lam)) * hook_length_count(lam)
+        for lam in partitions_of(h.n)
+    )
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_gasharov_total_dimension(n):
-    # sum over lambda of (P_h-tableaux of the dual shape) * (standard tableaux
-    # of lambda) equals n! for every h
+    # the total equals n! for every h
     for h in enumerate_hessenberg_functions(n):
-        total = sum(
-            count_ph_tableaux(h, dual_partition(lam)) * hook_length_count(lam)
-            for lam in partitions_of(n)
-        )
-        assert total == factorial(n)
+        assert _gasharov_total(h) == factorial(n)
+
+
+@settings(max_examples=25, deadline=None)
+@given(hessenberg_values(8, min_n=8))
+def test_gasharov_total_dimension_at_n8(values):
+    assert _gasharov_total(validate_hessenberg(values)) == factorial(8)
