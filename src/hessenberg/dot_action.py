@@ -161,15 +161,14 @@ def orientation_count_check(h: HessenbergFunction, dec: GradedRepDecomposition) 
     """Per (sink count k, ascent i): sum of c over k-part partitions equals the
     number of acyclic orientations with k sinks and ascent i."""
     hist = orientation_histogram(h)
+    by_parts: list[list[int]] = [[] for _ in range(h.n + 1)]
+    for pi, lam in enumerate(dec.order.partitions):
+        by_parts[len(lam)].append(pi)
     failures = []
     for k in range(1, h.n + 1):
         for i in dec.degrees:
             expected = hist.get((k, i), 0)
-            actual = sum(
-                dec.c[i][pi]
-                for pi, lam in enumerate(dec.order.partitions)
-                if len(lam) == k
-            )
+            actual = sum(dec.c[i][pi] for pi in by_parts[k])
             if expected != actual:
                 failures.append(
                     mismatch({"sinks": k, "degree": i}, expected, actual)

@@ -1,10 +1,16 @@
 import io
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hessenberg.betti import MAX_POINCARE_N
+import hessenberg.cli as cli
+from hessenberg.betti import MAX_POINCARE_N, SizeGuard
 from hessenberg.cli import (
     EXIT_CHECK_FAILED,
     EXIT_OK,
@@ -16,7 +22,7 @@ from hessenberg.cli import (
 from hessenberg.betti import poincare_polynomial
 from hessenberg.dot_action import decompose
 from hessenberg.reports import CheckReport
-from hessenberg.roots import validate_hessenberg
+from hessenberg.roots import HessenbergError, validate_hessenberg
 
 from oracles import hessenberg_values
 
@@ -128,28 +134,97 @@ def test_verify_sweep_exit_zero():
     assert payload["summary"]["total"] > 0
 
 
-def test_verify_exit_code_three_on_theorem_failure(monkeypatch):
-    import hessenberg.cli as cli
+# "3" sweeps the 5 functions on [3], on forked workers when there are two CPUs
+STUB_TARGETS = (("2,2", 1), ("3", 5))
 
+
+def test_verify_exit_code_three_on_theorem_failure(monkeypatch):
     def fake_reports(h, which):
         return [CheckReport("stub", {"h": list(h.values)}, passed=False)]
 
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 2)
     monkeypatch.setattr(cli, "_reports_for", fake_reports)
-    code, text = run_cli("verify", "2,2")
-    assert code == EXIT_CHECK_FAILED
-    assert json.loads(text)["summary"]["failed"] == 1
+    for target, functions in STUB_TARGETS:
+        code, text = run_cli("verify", target)
+        assert code == EXIT_CHECK_FAILED
+        assert json.loads(text)["summary"]["failed"] == functions
 
 
 def test_verify_conjecture_finding_keeps_exit_zero(monkeypatch):
-    import hessenberg.cli as cli
-
     def fake_reports(h, which):
         return [CheckReport("stub", {}, passed=False, conjecture=True)]
 
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 2)
     monkeypatch.setattr(cli, "_reports_for", fake_reports)
-    code, text = run_cli("verify", "2,2")
-    assert code == EXIT_OK
-    assert json.loads(text)["summary"]["findings"] == 1
+    for target, functions in STUB_TARGETS:
+        code, text = run_cli("verify", target)
+        assert code == EXIT_OK
+        assert json.loads(text)["summary"]["findings"] == functions
+
+
+SWEEPS = (
+    ("verify", "5", "all"),
+    ("verify", "6", "conj81"),
+    ("--format", "pretty", "verify", "5", "all"),
+)
+
+
+@pytest.mark.parametrize("argv", SWEEPS, ids=" ".join)
+def test_verify_output_is_the_same_for_any_worker_count(monkeypatch, argv):
+    outputs = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(cli, "_cpu_count", lambda: workers)
+        outputs.append(run_cli(*argv))
+    assert outputs[0][0] == EXIT_OK
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
+@pytest.mark.parametrize(
+    "error, code, line",
+    [
+        (HessenbergError("bad h"), EXIT_USAGE, "hessenberg: invalid input: bad h"),
+        (SizeGuard("too big"), EXIT_SIZE_GUARD, "hessenberg: size guard: too big"),
+    ],
+)
+def test_verify_error_in_a_worker_is_one_line(monkeypatch, capsys, error, code, line):
+    def failing_reports(h, which):
+        if h.values == (4, 4, 4, 4):  # the last h of the sweep, in the last chunk
+            raise error
+        return []
+
+    monkeypatch.setattr(cli, "_reports_for", failing_reports)
+    for workers in (1, 2):
+        monkeypatch.setattr(cli, "_cpu_count", lambda: workers)
+        assert run_cli("verify", "4") == (code, "")
+        assert capsys.readouterr().err == line + "\n"
+        assert multiprocessing.active_children() == []
+
+
+def test_verify_other_error_in_a_worker_propagates(monkeypatch):
+    def failing_reports(h, which):
+        if h.values == (3, 3, 3):
+            raise ValueError(f"no reports for {list(h.values)}")
+        return []
+
+    monkeypatch.setattr(cli, "_reports_for", failing_reports)
+    for workers in (1, 2):
+        monkeypatch.setattr(cli, "_cpu_count", lambda: workers)
+        with pytest.raises(ValueError, match=r"^no reports for \[3, 3, 3\]$"):
+            run_cli("verify", "3")
+        assert multiprocessing.active_children() == []
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    code = (
+        "import sys, hessenberg.cli; "
+        "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 def test_verify_usage_error():
