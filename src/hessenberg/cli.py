@@ -3,22 +3,23 @@
 Exit codes: 0 success; 1 usage error, invalid input or unusable --cache-dir;
 2 size guard (n above --max-n, or above the Poincaré engine's bound for
 decompose, betti and verify); 3 theorem-check failure. Errors print one line to stderr.
-Conjecture findings are reported but never fail the exit code. `verify n` runs its
-sweep as chunks of h on one forked worker per CPU and prints the reports in sweep order.
+Conjecture findings are reported but never fail the exit code; a closed stdout ends the
+run silently by SIGPIPE. `verify n` runs its sweep as chunks of h on one forked worker
+per CPU and prints the reports in sweep order. --cache-dir keeps one Betti table per h.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import json
 import os
+import signal
 import sys
 import tempfile
 from itertools import repeat
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .betti import GradedPolynomial, SizeGuard, poincare_polynomial, poincare_size_guard
 from .dot_action import (
@@ -71,53 +72,46 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-class BettiCache:
-    """Content-addressed JSON cache of Poincaré coefficients keyed by (n, h, nu).
+class TableCache:
+    """One JSON file per h, named by its values, holding the coefficient rows of its
+    Betti table in partitions_of(n) order.
 
-    An entry that cannot be read, that stores another key, or whose
-    coefficients are not |Phi_h^-| + 1 integers is a miss: a one-line
-    warning goes to stderr and the entry is rewritten. Entries are
-    written to a temporary file in the cache directory and renamed into
-    place, so no reader sees a partly written entry.
+    An entry that cannot be read, stores another h, or does not hold one row of
+    |Phi_h^-| + 1 integers per partition is a miss: one warning goes to stderr and
+    the entry is rewritten. Entries are written to a temporary file in the cache
+    directory and renamed into place, so no reader sees a partly written entry.
     """
 
     def __init__(self, root: Path):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
 
-    def _path(self, key: dict) -> Path:
-        digest = hashlib.sha256(
-            json.dumps(key, sort_keys=True).encode()
-        ).hexdigest()
-        return self.root / f"{digest}.json"
-
-    def poincare(self, nu: Partition, h: HessenbergFunction) -> GradedPolynomial:
-        key = {"n": h.n, "h": list(h.values), "nu": list(nu)}
-        path = self._path(key)
+    def table(self, h: HessenbergFunction) -> Mapping[Partition, GradedPolynomial]:
+        path = self.root / f"{_partition_key(h.values)}.json"
+        order = partitions_of(h.n).partitions
         size = sum(h.values) - h.n * (h.n + 1) // 2 + 1  # |Phi_h^-| = sum of h(j) - j
-        coeffs = self._read(path, key, size)
-        if coeffs is not None:
-            return GradedPolynomial(coeffs)
-        poly = poincare_polynomial(nu, h)
-        self._write(path, {"key": key, "coeffs": list(poly.coeffs)})
-        return poly
+        rows = self._read(path, list(h.values), len(order), size)
+        if rows is not None:
+            return dict(zip(order, map(GradedPolynomial, rows)))
+        table = betti_table(h)
+        self._write(path, {"h": list(h.values), "rows": [list(table[nu].coeffs) for nu in order]})
+        return table
 
     @staticmethod
-    def _read(path: Path, key: dict, size: int) -> Optional[tuple[int, ...]]:
-        """The stored coefficients, or None for a missing or unusable entry."""
+    def _read(path: Path, h: list[int], count: int, size: int) -> Optional[list[tuple[int, ...]]]:
+        """The stored rows, or None for a missing or unusable entry."""
         try:
             payload = json.loads(path.read_text())
-            coeffs = payload["coeffs"]
-            if payload["key"] != key:
-                problem = "stores another key"
-            elif (
-                isinstance(coeffs, list)
-                and len(coeffs) == size
-                and all(type(c) is int for c in coeffs)
+            rows = payload["rows"]
+            if payload["h"] != h:
+                problem = "stores another h"
+            # JSON has no container of ints but a list, so lengths and types suffice
+            elif len(rows) == count and all(
+                len(row) == size and all(type(c) is int for c in row) for row in rows
             ):
-                return tuple(coeffs)
+                return [tuple(row) for row in rows]
             else:
-                problem = "has malformed coefficients"
+                problem = "has malformed rows"
         except FileNotFoundError:
             return None
         except (OSError, ValueError, KeyError, TypeError) as exc:
@@ -168,6 +162,13 @@ def _guard(n: int, max_n: int) -> None:
         raise SizeGuard(f"n={n} exceeds --max-n={max_n}")
 
 
+def _betti_table(args, h: HessenbergFunction) -> Mapping[Partition, GradedPolynomial]:
+    """The Betti table of h, read from or written to --cache-dir when one is given."""
+    if args.cache_dir:
+        return TableCache(Path(args.cache_dir)).table(h)
+    return betti_table(h)
+
+
 def cmd_analyze(args, out) -> int:
     h = _parse_h(args.h)
     _guard(h.n, args.max_n)
@@ -214,11 +215,7 @@ def cmd_analyze(args, out) -> int:
 def cmd_decompose(args, out) -> int:
     h = _parse_h(args.h)
     _guard(h.n, args.max_n)
-    if args.cache_dir:
-        cache = BettiCache(Path(args.cache_dir))
-        dec = decompose_table(h, {nu: cache.poincare(nu, h) for nu in partitions_of(h.n)})
-    else:
-        dec = decompose(h)
+    dec = decompose_table(h, _betti_table(args, h))
     positivity = e_positivity_report(h, dec)
     if args.format == "csv":
         writer = csv.writer(out)
@@ -250,14 +247,11 @@ def cmd_decompose(args, out) -> int:
 def cmd_betti(args, out) -> int:
     h = _parse_h(args.h)
     _guard(h.n, args.max_n)
-    cache = BettiCache(Path(args.cache_dir)) if args.cache_dir else None
     if args.nu is not None:
         nu = _parse_composition(args.nu, h.n)
-        polys = {nu: cache.poincare(nu, h) if cache else poincare_polynomial(nu, h)}
-    elif cache:
-        polys = {nu: cache.poincare(nu, h) for nu in partitions_of(h.n)}
+        polys = {nu: poincare_polynomial(nu, h)}
     else:
-        polys = betti_table(h)
+        polys = _betti_table(args, h)
     rows = []
     for nu, poly in polys.items():
         rows.append({"nu": list(nu), "h": list(h.values), "coeffs": list(poly.coeffs)})
@@ -404,7 +398,9 @@ def cmd_verify(args, out) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="hessenberg", description=__doc__)
     parser.add_argument("--max-n", type=int, default=7, help="size guard (default 7)")
-    parser.add_argument("--cache-dir", default=None, help="Betti cache (decompose, betti)")
+    parser.add_argument(
+        "--cache-dir", default=None, help="per-h Betti table files (decompose; betti without --nu)"
+    )
     parser.add_argument(
         "--format", choices=("json", "csv", "pretty"), default="json", help="output format"
     )
@@ -461,6 +457,8 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
 
 
 def console_main() -> None:
+    if hasattr(signal, "SIGPIPE"):  # a closed stdout ends the run silently, as in coreutils
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

@@ -1,7 +1,10 @@
+import contextlib
+import hashlib
 import io
 import json
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -16,13 +19,12 @@ from hessenberg.cli import (
     EXIT_OK,
     EXIT_SIZE_GUARD,
     EXIT_USAGE,
-    BettiCache,
+    TableCache,
     main,
 )
-from hessenberg.betti import poincare_polynomial
-from hessenberg.dot_action import decompose
+from hessenberg.dot_action import betti_table, decompose
 from hessenberg.reports import CheckReport
-from hessenberg.roots import HessenbergError, validate_hessenberg
+from hessenberg.roots import HessenbergError, enumerate_hessenberg_functions, validate_hessenberg
 
 from oracles import hessenberg_values
 
@@ -299,47 +301,132 @@ def test_main_never_raises_on_fuzzed_argv(argv):
     assert code in (EXIT_OK, EXIT_USAGE, EXIT_SIZE_GUARD, EXIT_CHECK_FAILED)
 
 
+def _cached_runs(cache_dir, *argv):
+    """stdout of argv uncached, then on a first and a second run with cache_dir."""
+    return [
+        run_cli(*argv),
+        run_cli("--cache-dir", str(cache_dir), *argv),
+        run_cli("--cache-dir", str(cache_dir), *argv),
+    ]
+
+
+SMALL_H = [
+    ",".join(map(str, h.values)) for n in range(1, 5) for h in enumerate_hessenberg_functions(n)
+]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+@pytest.mark.parametrize("h", SMALL_H)
+def test_cache_reproduces_uncached_for_every_small_h(tmp_path, capsys, h, fmt):
+    cache_dir = tmp_path / "cache"
+    for command in ("decompose", "betti"):
+        plain, first, second = _cached_runs(cache_dir, "--format", fmt, command, h)
+        assert plain[0] == EXIT_OK and first == second == plain
+    assert [p.name for p in cache_dir.iterdir()] == [f"{h}.json"]
+    assert capsys.readouterr().err == ""
+
+
 def test_cache_reproduces_uncached(tmp_path):
     cache_dir = tmp_path / "cache"
-    first = run_cli("--cache-dir", str(cache_dir), "betti", "2,3,4,4")
-    second = run_cli("--cache-dir", str(cache_dir), "betti", "2,3,4,4")
-    plain = run_cli("betti", "2,3,4,4")
-    assert first == second == plain
-    assert len(list(cache_dir.glob("*.json"))) == 5
-
-    cached_dec = run_cli("--cache-dir", str(cache_dir), "decompose", "2,3,4,4")
-    plain_dec = run_cli("decompose", "2,3,4,4")
-    assert cached_dec == plain_dec
+    for h in ("2,3,4,4", "2,3,4,5,5"):
+        for fmt in ("json", "csv", "pretty"):
+            for command in ("decompose", "betti"):
+                plain, first, second = _cached_runs(cache_dir, "--format", fmt, command, h)
+                assert first == second == plain
+    assert sorted(p.name for p in cache_dir.iterdir()) == ["2,3,4,4.json", "2,3,4,5,5.json"]
 
 
 def test_cache_object_round_trip(tmp_path):
-    cache = BettiCache(tmp_path / "c")
+    cache = TableCache(tmp_path / "c")
     h = validate_hessenberg([3, 4, 5, 5, 5])
-    direct = poincare_polynomial((3, 2), h)
-    assert cache.poincare((3, 2), h).coeffs == direct.coeffs
-    assert cache.poincare((3, 2), h).coeffs == direct.coeffs  # cache hit
+    direct = betti_table(h)
+    for _ in range(2):  # a miss that writes the entry, then a hit
+        table = cache.table(h)
+        assert list(table) == list(direct)
+        assert [p.coeffs for p in table.values()] == [p.coeffs for p in direct.values()]
+    payload = json.loads((tmp_path / "c" / "3,4,5,5,5.json").read_text())
+    assert payload == {"h": [3, 4, 5, 5, 5], "rows": [list(p.coeffs) for p in direct.values()]}
+
+
+def test_cache_betti_nu_creates_no_file(tmp_path):
+    cache_dir = tmp_path / "cache"
+    cache_dir.mkdir()
+    plain = run_cli("betti", "2,3,4,5,5", "--nu", "3,0,2")
+    assert run_cli("--cache-dir", str(cache_dir), "betti", "2,3,4,5,5", "--nu", "3,0,2") == plain
+    assert list(cache_dir.iterdir()) == []
+
+
+def test_cache_ignores_old_layout_entries(tmp_path, capsys):
+    cache_dir = tmp_path / "cache"
+    cache_dir.mkdir()
+    key = {"n": 3, "h": [2, 3, 3], "nu": [2, 1]}  # one polynomial per (n, h, nu), sha256-named
+    old = cache_dir / f"{hashlib.sha256(json.dumps(key, sort_keys=True).encode()).hexdigest()}.json"
+    old_text = json.dumps({"key": key, "coeffs": [9, 9, 9]})
+    old.write_text(old_text)
+    plain, first, second = _cached_runs(cache_dir, "decompose", "2,3,3")
+    assert first == second == plain
+    assert capsys.readouterr().err == ""
+    assert sorted(p.name for p in cache_dir.iterdir()) == sorted([old.name, "2,3,3.json"])
+    assert old.read_text() == old_text
+
+
+# one h per kind of damage; each run below must warn once per entry
+DAMAGE = {
+    "2,3,4,4": ("unreadable", lambda good: json.dumps(good)[:7]),
+    "3,3,4,4": ("another h", lambda good: json.dumps({**good, "h": [2, 3, 4, 4]})),
+    "2,4,4,4": ("malformed", lambda good: json.dumps({**good, "rows": good["rows"][1:]})),
+    "3,4,4,4": (
+        "malformed",
+        lambda good: json.dumps({**good, "rows": [r[:-1] for r in good["rows"]]}),
+    ),
+    "4,4,4,4": (
+        "malformed",
+        lambda good: json.dumps({**good, "rows": [[1.0] + r[1:] for r in good["rows"]]}),
+    ),
+}
 
 
 def test_cache_damaged_entries_are_misses(tmp_path, capsys):
     cache_dir = tmp_path / "cache"
-    plain = run_cli("decompose", "2,3,3")
-    assert run_cli("--cache-dir", str(cache_dir), "decompose", "2,3,3") == plain
-    first, second, third = sorted(cache_dir.glob("*.json"))
-    good = json.loads(first.read_text())
-    first.write_text(first.read_text()[:7])  # truncated
-    second.write_text(json.dumps({**good, "coeffs": [9, 9]}))  # the other entry's key
-    own = json.loads(third.read_text())
-    third.write_text(json.dumps({**own, "coeffs": [1]}))  # its own key, too few coefficients
+    plain = {h: run_cli("decompose", h) for h in DAMAGE}
+    for h in DAMAGE:
+        assert run_cli("--cache-dir", str(cache_dir), "decompose", h) == plain[h]
+    good = {h: (cache_dir / f"{h}.json").read_text() for h in DAMAGE}
+    for h, (_, damage) in DAMAGE.items():
+        (cache_dir / f"{h}.json").write_text(damage(json.loads(good[h])))
     capsys.readouterr()
 
-    assert run_cli("--cache-dir", str(cache_dir), "decompose", "2,3,3") == plain
-    warnings = capsys.readouterr().err.splitlines()
-    assert len(warnings) == 3
-    assert any(first.name in w and "unreadable" in w for w in warnings)
-    assert any(second.name in w and "another key" in w for w in warnings)
-    assert any(third.name in w and "malformed" in w for w in warnings)
+    for h, (problem, _) in DAMAGE.items():
+        assert run_cli("--cache-dir", str(cache_dir), "decompose", h) == plain[h]
+        warnings = capsys.readouterr().err.splitlines()
+        assert len(warnings) == 1
+        assert f"{h}.json" in warnings[0] and problem in warnings[0]
 
     # every entry was rewritten, and no temporary file is left behind
-    assert run_cli("--cache-dir", str(cache_dir), "decompose", "2,3,3") == plain
+    for h in DAMAGE:
+        assert run_cli("--cache-dir", str(cache_dir), "decompose", h) == plain[h]
+        assert (cache_dir / f"{h}.json").read_text() == good[h]
     assert capsys.readouterr().err == ""
-    assert sorted(p.name for p in cache_dir.iterdir()) == [first.name, second.name, third.name]
+    assert sorted(p.name for p in cache_dir.iterdir()) == sorted(f"{h}.json" for h in DAMAGE)
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
+def test_closed_stdout_ends_the_run_silently():
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hessenberg.cli", "verify", "6", "all"],  # far over a pipe's buffer
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+        start_new_session=True,
+    )
+    try:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (-signal.SIGPIPE, b"")
+        with pytest.raises(ProcessLookupError):  # no worker is left in the run's process group
+            os.killpg(proc.pid, 0)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
