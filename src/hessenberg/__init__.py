@@ -44,8 +44,6 @@ from .orientations import (
     enumerate_acyclic_orientations,
     max_sink_set_size,
     restrict,
-    restrict_orientation,
-    sink_set,
     sink_sets,
 )
 from .partitions import (

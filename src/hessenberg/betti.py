@@ -10,7 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .roots import HessenbergFunction, Root, roots_of
+from .roots import HessenbergFunction, Root
 
 Permutation = tuple[int, ...]  # one-line notation, 1-based values
 
@@ -25,10 +25,6 @@ class ResultNotHessenberg(RuntimeError):
 
 class SizeGuard(ValueError):
     """A requested size exceeds the --max-n guard or the Poincaré engine's bound."""
-
-
-def identity_permutation(n: int) -> Permutation:
-    return tuple(range(1, n + 1))
 
 
 def perm_inverse(w: Permutation) -> Permutation:
@@ -140,10 +136,10 @@ class GradedPolynomial:
 
 MAX_POINCARE_N = 13
 """Largest n the Poincaré engine accepts. One call holds about
-(2^n + n 2^(n-1)) (n + |Phi_h^-|) int64 DP values, and n 2^(n-1) (|Phi_h^-| + 1)
-int64 gather indices for each value of a J_nu bit it meets. For h = (n,...,n)
-the process peak grows by about 90 MB for one composition and 130 MB for all
-partitions at n = 13, 35 and 55 MB at n = 12; each n doubles it or more."""
+(2^n + n 2^(n-1)) (n + |Phi_h^-|) int64 DP values, and one layer's gathered
+copy at a time. For h = (n,...,n) the process peak grows by about 60 MB for one
+composition and 70 MB for all partitions at n = 13, 25 and 30 MB at n = 12;
+each n doubles it or more."""
 
 
 def poincare_size_guard(n: int) -> None:
@@ -179,6 +175,26 @@ def _subset_dp_plan(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
     return t, q, k, row, first_pair, layer_rows
 
 
+@lru_cache(maxsize=None)
+def _step_plan(
+    n: int, compositions: tuple[tuple[int, ...], ...]
+) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[tuple[int, ...], int], ...]]:
+    """The J_nu step bits of each composition (bit p is 1 when the step from
+    value p to p + 1 lies in J_nu; bit 0 never is), and the distinct bit
+    vectors in sorted order, each with the number of leading layers it shares
+    with the one before it; they depend on n and the compositions alone."""
+    for nu in compositions:
+        if sum(int(p) for p in nu) != n:
+            raise ValueError(f"composition {nu} does not sum to {n}")
+    kept = [set(composition_simple_roots(nu)) for nu in compositions]
+    bits = tuple(tuple(int(p in j) for p in range(n)) for j in kept)
+    steps, done = [], ()
+    for key in sorted(set(bits)):
+        steps.append((key, next((p for p, (a, b) in enumerate(zip(key, done)) if a != b), 0)))
+        done = key
+    return bits, tuple(steps)
+
+
 def poincare_polynomials(
     h: HessenbergFunction, compositions: Sequence[Sequence[int]]
 ) -> list[GradedPolynomial]:
@@ -198,17 +214,14 @@ def poincare_polynomials(
     the sum over the allowed r is one lookup, and each layer is one gather
     from the last. Layer s reads nu only through whether step s - 1 lies in
     J_nu, so the compositions are taken in the order of their J_nu bit
-    vectors, each one recomputes only the layers after its first bit that
-    differs from the previous one, and the gather of each (layer, bit) is
-    built once.
+    vectors, and each one recomputes only the layers after its first bit that
+    differs from the previous one. A gather reads, for each pair of the
+    layer, the |Phi_h^-| + 1 buffer entries that start at the pair's cell for
+    that bit.
     """
     n = h.n
-    for nu in compositions:
-        if sum(int(p) for p in nu) != n:
-            raise ValueError(f"composition {tuple(nu)} does not sum to {n}")
+    bits, steps = _step_plan(n, tuple(map(tuple, compositions)))
     poincare_size_guard(n)
-    simple_roots = [set(composition_simple_roots(nu)) for nu in compositions]
-    bits = [tuple(p in j for p in range(n)) for j in simple_roots]  # bit 0 is never set
     t, q, k, row, first_pair, layer_rows = _subset_dp_plan(n)
     hv = np.array(h.values, dtype=np.int64)
     reach = hv - np.arange(1, n + 1)  # h(j) - j
@@ -218,45 +231,26 @@ def poincare_polynomials(
     below_h = (np.int64(1) << hv) - 1  # 0-based positions r with r + 1 <= h(q)
     above_q = below_h & ~((np.int64(2) << np.arange(n)) - 1)  # and r > q
     start = row * width + pad - np.bitwise_count(t & above_q[q])
-    # members r read, by whether step |T| is in J_nu; the cast keeps the uint8
-    # of bitwise_count from wrapping in allowed * width
-    allowed = (k, np.bitwise_count(t & below_h[q]).astype(np.int64))
-    gathers: dict[tuple[int, bool], np.ndarray] = {}
+    # members r read, by whether step |T| is in J_nu (row 1) or not (row 0); the
+    # cast keeps the uint8 of bitwise_count from wrapping in allowed * width
+    allowed = np.stack([k, np.bitwise_count(t & below_h[q]).astype(np.int64)])
+    cells = start + allowed * width
     dp = np.zeros((layer_rows[-1], width), dtype=np.int64)
     dp[0, pad] = 1  # the empty placement
-    polys: dict[tuple[bool, ...], GradedPolynomial] = {}
-    done: tuple[bool, ...] = ()
-    for key in sorted(set(bits)):
-        first = next((p for p, (a, b) in enumerate(zip(key, done)) if a != b), 0)
+    windows = np.lib.stride_tricks.sliding_window_view(dp.reshape(-1), top + 1)
+    polys: dict[tuple[int, ...], GradedPolynomial] = {}
+    for key, first in steps:
         for s in range(first + 1, n + 1):
-            pairs, bit = slice(first_pair[s - 1], first_pair[s]), key[s - 1]
-            if (s, bit) not in gathers:
-                cell = start[pairs] + allowed[bit][pairs] * width
-                gathers[s, bit] = cell[:, None] + np.arange(top + 1)
-            placed = dp.take(gathers[s, bit])
+            placed = windows[cells[key[s - 1], first_pair[s - 1] : first_pair[s]]]
             layer = dp[layer_rows[s] : layer_rows[s + 1]].reshape(-1, s + 1, width)
             placed.reshape(-1, s, top + 1).cumsum(axis=1, out=layer[:, 1:, pad:])
         polys[key] = GradedPolynomial(tuple(dp[-1, pad:].tolist()))
-        done = key
     return [polys[key] for key in bits]
 
 
 def poincare_polynomial(nu: Sequence[int], h: HessenbergFunction) -> GradedPolynomial:
     """Poincaré polynomial of the regular Hessenberg variety of Jordan type nu."""
     return poincare_polynomials(h, [nu])[0]
-
-
-def poincare_polynomial_reference(nu: Sequence[int], h: HessenbergFunction) -> GradedPolynomial:
-    """Pure-Python sum over S_n, the test oracle for poincare_polynomial."""
-    import itertools
-
-    n = h.n
-    j_indices = composition_simple_roots(nu)
-    coeffs = [0] * (len(roots_of(h)[0]) + 1)
-    for w in itertools.permutations(range(1, n + 1)):
-        if satisfies_hessenberg_condition(w, j_indices, h):
-            coeffs[hessenberg_inversions(w, h)] += 1
-    return GradedPolynomial(tuple(coeffs))
 
 
 def shortest_coset_decompose(w: Permutation, nu1: int) -> tuple[Permutation, Permutation]:

@@ -19,7 +19,7 @@ import sys
 import tempfile
 from itertools import repeat
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import Any, Mapping, NamedTuple, Optional, Sequence
 
 from .betti import GradedPolynomial, SizeGuard, poincare_polynomial, poincare_size_guard
 from .dot_action import (
@@ -148,8 +148,11 @@ def _parse_composition(text: str, n: int) -> tuple[int, ...]:
     return parts
 
 
+_JSON_OPTIONS = {"sort_keys": True, "ensure_ascii": False, "indent": 2}
+
+
 def _emit_json(payload, out) -> None:
-    json.dump(payload, out, sort_keys=True, ensure_ascii=False, indent=2)
+    json.dump(payload, out, **_JSON_OPTIONS)
     out.write("\n")
 
 
@@ -328,8 +331,30 @@ def _reports_for(h: HessenbergFunction, which: str) -> list[CheckReport]:
     return reports
 
 
-def _chunk_reports(chunk: list[HessenbergFunction], which: str) -> list[CheckReport]:
-    return [r for h in chunk for r in _reports_for(h, which)]
+class _Encoded(NamedTuple):
+    """One report as `verify` prints it: its JSON text, indented to its depth in
+    the output, and the fields that the pretty lines and the summary read."""
+
+    text: str
+    name: str
+    h: Any
+    passed: bool
+    conjecture: bool
+
+
+def _chunk_reports(chunk: list[HessenbergFunction], which: str) -> list[_Encoded]:
+    """The reports of a chunk, JSON-encoded in the process that checks it."""
+    return [
+        _Encoded(
+            "    " + json.dumps(r.to_json_dict(), **_JSON_OPTIONS).replace("\n", "\n    "),
+            r.name,
+            r.params.get("h"),
+            r.passed,
+            r.conjecture,
+        )
+        for h in chunk
+        for r in _reports_for(h, which)
+    ]
 
 
 def _cpu_count() -> int:
@@ -339,8 +364,8 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _sweep_reports(functions: list[HessenbergFunction], which: str) -> list[CheckReport]:
-    """Reports of every h in sweep order, from contiguous chunks of the sweep run on
+def _sweep_reports(functions: list[HessenbergFunction], which: str) -> list[_Encoded]:
+    """Encoded reports of every h in sweep order, from contiguous chunks of the sweep run on
     one forked worker per usable CPU. Fork keeps the imports and memos already built;
     it is safe because the CLI starts no other thread."""
     workers = min(_cpu_count(), len(functions))
@@ -374,24 +399,26 @@ def cmd_verify(args, out) -> int:
     functions = [h] if single else list(enumerate_hessenberg_functions(n))
 
     reports = _sweep_reports(functions, args.which)
-    failed = [r for r in reports if not r.passed and not r.conjecture]
-    findings = [r for r in reports if not r.passed and r.conjecture]
-    payload = {
-        "reports": [r.to_json_dict() for r in reports],
-        "summary": {
-            "total": len(reports),
-            "passed": sum(r.passed for r in reports),
-            "failed": len(failed),
-            "findings": len(findings),
-        },
+    failed = sum(not r.passed and not r.conjecture for r in reports)
+    summary = {
+        "total": len(reports),
+        "passed": sum(r.passed for r in reports),
+        "failed": failed,
+        "findings": sum(not r.passed and r.conjecture for r in reports),
     }
     if args.format == "pretty":
         for r in reports:
             status = "PASS" if r.passed else ("FINDING" if r.conjecture else "FAIL")
-            out.write(f"[{status}] {r.name} {r.params.get('h')}\n")
-        out.write(f"summary: {payload['summary']}\n")
+            out.write(f"[{status}] {r.name} {r.h}\n")
+        out.write(f"summary: {summary}\n")
     else:
-        _emit_json(payload, out)
+        # the bytes _emit_json writes for {"reports": [...], "summary": summary},
+        # written a report at a time so that no copy of the whole output is made
+        out.write('{\n  "reports": [')
+        for i, r in enumerate(reports):
+            out.write(("," if i else "") + "\n" + r.text)
+        out.write(("\n  ]" if reports else "]") + ',\n  "summary": ')
+        out.write(json.dumps(summary, **_JSON_OPTIONS).replace("\n", "\n  ") + "\n}\n")
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 

@@ -10,7 +10,7 @@ from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .betti import GradedPolynomial, poincare_polynomials
-from .orientations import build_graph, max_sink_set_size, restrict_unchecked, sink_sets
+from .orientations import build_graph, max_sink_set_size
 from .partitions import (
     Partition,
     PartitionOrder,
@@ -104,39 +104,53 @@ def decompose(h: HessenbergFunction) -> GradedRepDecomposition:
     return decompose_table(h, betti_table(h))
 
 
+def _times_block(poly: list[int], width: int) -> list[int]:
+    """poly times 1 + t + ... + t^(width - 1), cut to the length of poly."""
+    out, run = [], 0
+    for i, c in enumerate(poly):
+        run += c - (poly[i - width] if i >= width else 0)
+        out.append(run)
+    return out
+
+
 def _sink_set_polynomials(h: HessenbergFunction) -> list[list[int]]:
     """[F_1, ..., F_m] with F_k = sum over T in SK_k of t^(deg T) A_{h_T}(t),
-    as coefficient lists of length |Phi_h^-| + 1. T = [n] occurs only for the
-    edgeless graph, and the empty graph left behind has A = 1."""
-    graph = build_graph(h)
-    sums = []
-    for k in range(1, max_sink_set_size(graph) + 1):
-        f = [0] * (len(graph.edges) + 1)
-        for t in sink_sets(graph, k):
-            sub = _ascent_polynomial(restrict_unchecked(h, t.vertices)) if k < h.n else (1,)
-            for i, a in enumerate(sub, start=t.degree):
-                f[i] += a
-        sums.append(f)
+    as coefficient lists of length |Phi_h^-| + 1.
+
+    The earlier neighbours of i form the clique [m_i, i - 1], m_i = min{j :
+    h(j) >= i}, so orienting vertex by vertex gives A_h = prod over i of
+    [1 + e_i]_t with e_i = i - m_i. A sink set meets each clique at most once,
+    and only through its last member before i; that member l also decides
+    whether i may join T (i > h(l)). So F_k is a DP over i = 1..n with state
+    (k, l): i outside T multiplies by [1 + e_i - [l >= m_i]]_t, and i in T by
+    t^(e_i), since the e_i edges from earlier vertices all point into the
+    sink i, each an ascent.
+    """
+    n = h.n
+    top = sum(h.values) - n * (n + 1) // 2  # |Phi_h^-|
+    states: dict[tuple[int, int], list[int]] = {(0, 0): [1] + [0] * top}  # l = 0: none yet
+    m = 1
+    for i in range(1, n + 1):
+        while h(m) < i:
+            m += 1
+        e = i - m
+        joined: dict[int, list[int]] = {}  # per k, the states that i may join as a sink
+        for (k, last), poly in states.items():
+            if not last or i > h(last):
+                joined[k] = [a + b for a, b in zip(joined[k], poly)] if k in joined else poly
+        states = {
+            (k, last): _times_block(poly, 1 + e - (last >= m))
+            for (k, last), poly in states.items()
+        }
+        for k, poly in joined.items():
+            states[k + 1, i] = [0] * e + poly[: top + 1 - e]
+    sums = [[0] * (top + 1) for _ in range(max(k for k, _ in states))]
+    for (k, _), poly in states.items():
+        if k:
+            sums[k - 1] = [a + b for a, b in zip(sums[k - 1], poly)]
     return sums
 
 
-@lru_cache(maxsize=None)
-def _ascent_polynomial(h: HessenbergFunction) -> tuple[int, ...]:
-    """A_h(t): the acyclic orientations of the graph of h counted by ascents.
-
-    Every acyclic orientation has a nonempty independent sink set, and the
-    edges joining a sink set T to the rest all point into T, an ascent exactly
-    when the larger end lies in T. So inclusion-exclusion over sink sets gives
-    A_h = sum over k of (-1)^(k+1) F_k; memoised per h.
-    """
-    sums = _sink_set_polynomials(h)
-    return tuple(
-        sum((-1) ** (k + 1) * f[i] for k, f in enumerate(sums, start=1))
-        for i in range(len(sums[0]))
-    )
-
-
-@lru_cache(maxsize=None)
 def orientation_histogram(h: HessenbergFunction) -> Mapping[tuple[int, int], int]:
     """Number of acyclic orientations of the graph of h per (sink count, ascent).
 

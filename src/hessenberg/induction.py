@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .betti import (
@@ -200,7 +201,7 @@ def _less_first_column(lam: Partition) -> Partition:
     return tuple(p - 1 for p in lam if p > 1)
 
 
-Restrictions = list[tuple[SinkSet, Optional[HessenbergFunction]]]
+Restrictions = tuple[tuple[SinkSet, Optional[HessenbergFunction]], ...]
 
 
 def _require_abelian(h: HessenbergFunction, what: str) -> None:
@@ -210,11 +211,12 @@ def _require_abelian(h: HessenbergFunction, what: str) -> None:
         raise ValueError(f"h={h} is not abelian")
 
 
+@lru_cache(maxsize=8)  # the few k one h's checks read, never a whole sweep's worth
 def _restrictions(h: HessenbergFunction, k: int) -> Restrictions:
     """(T, h_T) for every T in SK_k; h_T is None when T holds every vertex."""
-    return [
+    return tuple(
         (t, restrict(h, t) if k < h.n else None) for t in sink_sets(build_graph(h), k)
-    ]
+    )
 
 
 def _sink_set_sum(restrictions: Restrictions, f) -> GradedPolynomial:

@@ -14,10 +14,6 @@ class NotASinkSet(ValueError):
     """The vertex set cannot be the sink set of any acyclic orientation."""
 
 
-class SinkSetMismatch(ValueError):
-    """The orientation's sink set differs from the requested one."""
-
-
 @dataclass(frozen=True)
 class IncomparabilityGraph:
     """Graph on [n] with an edge {j, i} exactly when j < i <= h(j)."""
@@ -154,13 +150,6 @@ def degree_of(vertices: Iterable[int], graph: IncomparabilityGraph) -> int:
     return sum(1 for _, i in graph.edges if i in t)
 
 
-def sink_set(graph: IncomparabilityGraph, vertices: Iterable[int]) -> SinkSet:
-    """Validate a vertex set as a sink set and attach its degree."""
-    verts = tuple(sorted(int(v) for v in vertices))
-    _check_sink_set(graph, verts)
-    return SinkSet(verts, degree_of(verts, graph))
-
-
 def sink_sets(graph: IncomparabilityGraph, k: int) -> list[SinkSet]:
     """SK_k: all size-k sink sets, via the criterion l_{i+1} > h(l_i), in lex order."""
     if not 1 <= k <= graph.n:
@@ -205,54 +194,22 @@ def relabeling(n: int, removed: Iterable[int]) -> list[int]:
     return phi
 
 
-def restrict_unchecked(h: HessenbergFunction, vertices: Iterable[int]) -> HessenbergFunction:
-    """h_T for a sink set T the caller already holds, such as one from sink_sets,
-    and smaller than [n]: h_T(phi(i)) = phi(h(i)) for i outside T."""
-    phi = relabeling(h.n, vertices)
-    removed = set(vertices)
-    return HessenbergFunction(
-        tuple(phi[v] for i, v in enumerate(h.values, start=1) if i not in removed)
-    )
-
-
 def restrict(h: HessenbergFunction, T: Union[SinkSet, Iterable[int]]) -> HessenbergFunction:
-    """The Hessenberg function h_T of the induced subgraph on [n] minus T."""
+    """The Hessenberg function h_T of the induced subgraph on [n] minus T:
+    h_T(phi(i)) = phi(h(i)) for i outside T."""
     verts = T.vertices if isinstance(T, SinkSet) else tuple(sorted(int(v) for v in T))
     graph = build_graph(h)
     _check_sink_set(graph, verts)
     if len(verts) == h.n:
         raise ValueError("cannot restrict away every vertex")
-    h_t = restrict_unchecked(h, verts)
     phi = relabeling(h.n, verts)
     removed = set(verts)
+    h_t = HessenbergFunction(
+        tuple(phi[v] for i, v in enumerate(h.values, start=1) if i not in removed)
+    )
     induced = tuple(
         sorted((phi[a], phi[b]) for a, b in graph.edges if a not in removed and b not in removed)
     )
     if build_graph(h_t).edges != induced:
         raise RuntimeError(f"graph of h_T does not match the induced subgraph for h={h}, T={verts}")
     return h_t
-
-
-def restrict_orientation(
-    omega: AcyclicOrientation, T: Union[SinkSet, Iterable[int]]
-) -> AcyclicOrientation:
-    """The induced orientation omega_T on the graph of h_T; requires sk(omega) = T."""
-    verts = T.vertices if isinstance(T, SinkSet) else tuple(sorted(int(v) for v in T))
-    if omega.sinks != verts:
-        raise SinkSetMismatch(f"sink set {omega.sinks} differs from {verts}")
-    graph = omega.graph
-    h_t = restrict(graph.h, verts)
-    sub = build_graph(h_t)
-    phi = relabeling(graph.n, verts)
-    removed = set(verts)
-    kept = [
-        ((phi[a], phi[b]), right)
-        for (a, b), right in zip(graph.edges, omega.rightward)
-        if a not in removed and b not in removed
-    ]
-    # phi is monotone, so kept edges are already in the subgraph's sort order
-    if tuple(e for e, _ in kept) != sub.edges:
-        raise RuntimeError(f"kept edges of omega do not match the graph of h_T for T={verts}")
-    bits = tuple(right for _, right in kept)
-    sinks, asc = _sinks_and_asc(sub, bits)
-    return AcyclicOrientation(sub, bits, sinks, asc)

@@ -7,6 +7,7 @@ has i < j.  All set computations work directly on these pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
 
 Root = tuple[int, int]
@@ -170,6 +171,7 @@ def index_of(h: HessenbergFunction) -> int:
     return max((i for i in range(1, n + 1) if h(i) < n), default=0)
 
 
+@lru_cache(maxsize=8)  # the checks of one h ask several times; keep no more than a few h
 def is_abelian(h: HessenbergFunction) -> bool:
     """Whether I_h is abelian: no two of its roots sum to a negative root.
 

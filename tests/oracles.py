@@ -1,5 +1,5 @@
-"""Independent brute-force oracles, and a random-input strategy, used only by
-the tests.
+"""Independent brute-force oracles, test-only helpers, and a random-input
+strategy, used only by the tests.
 
 Everything here is deliberately naive and kept separate from the package
 implementations it cross-checks.
@@ -12,6 +12,26 @@ from functools import lru_cache
 from math import factorial
 
 from hypothesis import strategies as st
+
+from hessenberg.betti import (
+    GradedPolynomial,
+    Permutation,
+    composition_simple_roots,
+    hessenberg_inversions,
+    satisfies_hessenberg_condition,
+)
+from hessenberg.orientations import (
+    AcyclicOrientation,
+    IncomparabilityGraph,
+    SinkSet,
+    _check_sink_set,
+    _sinks_and_asc,
+    build_graph,
+    degree_of,
+    relabeling,
+    restrict,
+)
+from hessenberg.roots import roots_of
 
 
 @lru_cache(maxsize=None)
@@ -184,3 +204,50 @@ def hessenberg_values(draw, max_n: int, min_n: int = 1) -> list[int]:
     for i in range(1, n + 1):
         values.append(draw(st.integers(max(i, values[-1] if values else 1), n)))
     return values
+
+
+def identity_permutation(n: int) -> Permutation:
+    return tuple(range(1, n + 1))
+
+
+def poincare_polynomial_reference(nu, h) -> GradedPolynomial:
+    """Pure-Python sum over S_n, the test oracle for poincare_polynomial."""
+    j_indices = composition_simple_roots(nu)
+    coeffs = [0] * (len(roots_of(h)[0]) + 1)
+    for w in itertools.permutations(range(1, h.n + 1)):
+        if satisfies_hessenberg_condition(w, j_indices, h):
+            coeffs[hessenberg_inversions(w, h)] += 1
+    return GradedPolynomial(tuple(coeffs))
+
+
+def sink_set(graph: IncomparabilityGraph, vertices) -> SinkSet:
+    """Validate a vertex set as a sink set and attach its degree."""
+    verts = tuple(sorted(int(v) for v in vertices))
+    _check_sink_set(graph, verts)
+    return SinkSet(verts, degree_of(verts, graph))
+
+
+class SinkSetMismatch(ValueError):
+    """The orientation's sink set differs from the requested one."""
+
+
+def restrict_orientation(omega: AcyclicOrientation, T) -> AcyclicOrientation:
+    """The induced orientation omega_T on the graph of h_T; requires sk(omega) = T."""
+    verts = T.vertices if isinstance(T, SinkSet) else tuple(sorted(int(v) for v in T))
+    if omega.sinks != verts:
+        raise SinkSetMismatch(f"sink set {omega.sinks} differs from {verts}")
+    graph = omega.graph
+    sub = build_graph(restrict(graph.h, verts))
+    phi = relabeling(graph.n, verts)
+    removed = set(verts)
+    kept = [
+        ((phi[a], phi[b]), right)
+        for (a, b), right in zip(graph.edges, omega.rightward)
+        if a not in removed and b not in removed
+    ]
+    # phi is monotone, so kept edges are already in the subgraph's sort order
+    if tuple(e for e, _ in kept) != sub.edges:
+        raise RuntimeError(f"kept edges of omega do not match the graph of h_T for T={verts}")
+    bits = tuple(right for _, right in kept)
+    sinks, asc = _sinks_and_asc(sub, bits)
+    return AcyclicOrientation(sub, bits, sinks, asc)

@@ -12,12 +12,10 @@ from hessenberg.betti import (
     composition_simple_roots,
     conjugated_hessenberg,
     hessenberg_inversions,
-    identity_permutation,
     inversion_pairs,
     perm_compose,
     perm_inverse,
     poincare_polynomial,
-    poincare_polynomial_reference,
     poincare_polynomials,
     satisfies_hessenberg_condition,
     shortest_coset_decompose,
@@ -31,7 +29,12 @@ from hessenberg.roots import (
     validate_hessenberg,
 )
 
-from oracles import hessenberg_values, mahonian
+from oracles import (
+    hessenberg_values,
+    identity_permutation,
+    mahonian,
+    poincare_polynomial_reference,
+)
 
 
 def all_h(n):

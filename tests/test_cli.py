@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hessenberg.cli as cli
+from hessenberg import induction, orientations, roots
 from hessenberg.betti import MAX_POINCARE_N, SizeGuard
 from hessenberg.cli import (
     EXIT_CHECK_FAILED,
@@ -24,7 +25,12 @@ from hessenberg.cli import (
 )
 from hessenberg.dot_action import betti_table, decompose
 from hessenberg.reports import CheckReport
-from hessenberg.roots import HessenbergError, enumerate_hessenberg_functions, validate_hessenberg
+from hessenberg.roots import (
+    HessenbergError,
+    enumerate_hessenberg_functions,
+    ideal_of,
+    validate_hessenberg,
+)
 
 from oracles import hessenberg_values
 
@@ -179,6 +185,68 @@ def test_verify_output_is_the_same_for_any_worker_count(monkeypatch, argv):
         outputs.append(run_cli(*argv))
     assert outputs[0][0] == EXIT_OK
     assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
+def _stub_reports(h, which):
+    """Nested failures, non-ASCII text, and no report at all for h(1) = 3."""
+    if h(1) == 3:
+        return []
+    failures = [
+        {
+            "location": {"lambda": [2, 1], "degree": 1},
+            "expected": {"t → t": [1, [2, {}]]},
+            "actual": [],
+        },
+        {"location": {"polynomial": "Φ_h⁻"}, "expected": [], "actual": None},
+    ]
+    return [
+        CheckReport("Φ check", {"h": list(h.values), "T": []}, False, failures=failures),
+        CheckReport("stub", {"h": list(h.values)}, h(1) == 1, conjecture=True),
+    ]
+
+
+@pytest.mark.parametrize("stub", [_stub_reports, lambda h, which: []], ids=["reports", "none"])
+def test_verify_json_joined_from_worker_text_is_one_json_dump(monkeypatch, stub):
+    reports = [r for h in enumerate_hessenberg_functions(3) for r in stub(h, "all")]
+    payload = {
+        "reports": [r.to_json_dict() for r in reports],
+        "summary": {
+            "total": len(reports),
+            "passed": sum(r.passed for r in reports),
+            "failed": sum(not r.passed and not r.conjecture for r in reports),
+            "findings": sum(not r.passed and r.conjecture for r in reports),
+        },
+    }
+    expected = json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
+    monkeypatch.setattr(cli, "_reports_for", stub)
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(cli, "_cpu_count", lambda: workers)
+        assert run_cli("verify", "3")[1] == expected
+
+
+@pytest.mark.parametrize("values, layers", [((3, 4, 5, 6, 6, 6), {2}), ((4, 4, 4, 4), {1, 2})])
+def test_verify_of_one_abelian_h_builds_each_fact_once(monkeypatch, values, layers):
+    # every check of h reads SK_k and is_abelian(h); each is built once per h
+    h = validate_hessenberg(values)
+    calls = []
+
+    def counted(real, name):
+        def wrapper(*args):
+            calls.append((name,) + args[1:])
+            return real(*args)
+
+        return wrapper
+
+    sink_sets = counted(orientations.sink_sets, "sink_sets")
+    for module in (orientations, induction, cli):
+        monkeypatch.setattr(module, "sink_sets", sink_sets)
+    monkeypatch.setattr(roots, "root_sum", counted(roots.root_sum, "root_sum"))
+    induction._restrictions.cache_clear()
+    roots.is_abelian.cache_clear()
+    assert run_cli("verify", ",".join(map(str, values)), "all")[0] == EXIT_OK
+    assert sorted(k for name, k in calls if name == "sink_sets") == sorted(layers)
+    # the pairwise abelian test sums every ordered pair of roots of I_h once
+    assert sum(name == "root_sum" for name, *_ in calls) == len(ideal_of(h)) ** 2
 
 
 @pytest.mark.parametrize(

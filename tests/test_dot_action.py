@@ -233,6 +233,24 @@ def test_orientation_histogram_closed_forms(n):
     assert dict(edgeless) == {(n, 0): 1}
 
 
+@pytest.mark.parametrize("n", [8, 9])
+def test_orientation_histogram_sums_to_chordal_product(n):
+    # the earlier neighbours of i form a clique of e_i vertices, so the acyclic
+    # orientations of every sink count are counted by ascents by the product
+    # over i of [1 + e_i]_t
+    for h in all_h(n):
+        product = [1]
+        for i in range(1, n + 1):
+            e = sum(1 for j in range(1, i) if h(j) >= i)
+            product = [
+                sum(product[max(0, d - e) : d + 1]) for d in range(len(product) + e)
+            ]
+        summed = [0] * len(product)
+        for (_, i), count in orientation_histogram(h).items():
+            summed[i] += count
+        assert summed == product, h
+
+
 def test_orientation_check_includes_example_ascent_five():
     h = validate_hessenberg([3, 4, 5, 5, 5])
     dec = decompose(h)

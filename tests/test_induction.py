@@ -3,7 +3,6 @@ import pytest
 import hessenberg.dot_action as dot_action
 from hessenberg.betti import (
     GradedPolynomial,
-    identity_permutation,
     inversion_pairs,
     perm_compose,
     perm_inverse,
@@ -31,6 +30,8 @@ from hessenberg.roots import (
     roots_of,
     validate_hessenberg,
 )
+
+from oracles import identity_permutation
 
 
 H5 = validate_hessenberg([3, 4, 5, 5, 5])

@@ -5,15 +5,12 @@ from hypothesis import assume, given, settings, strategies as st
 
 from hessenberg.orientations import (
     NotASinkSet,
-    SinkSetMismatch,
     build_graph,
     degree_of,
     enumerate_acyclic_orientations,
     max_sink_set_size,
     orientation,
     restrict,
-    restrict_orientation,
-    sink_set,
     sink_sets,
 )
 from hessenberg.roots import (
@@ -24,7 +21,13 @@ from hessenberg.roots import (
     validate_hessenberg,
 )
 
-from oracles import brute_acyclic_orientations, hessenberg_values
+from oracles import (
+    SinkSetMismatch,
+    brute_acyclic_orientations,
+    hessenberg_values,
+    restrict_orientation,
+    sink_set,
+)
 
 
 def all_h(n):
