@@ -151,6 +151,7 @@ def _sink_set_polynomials(h: HessenbergFunction) -> list[list[int]]:
     return sums
 
 
+@lru_cache(maxsize=8)  # prop72 and the orientation check of one h both read it
 def orientation_histogram(h: HessenbergFunction) -> Mapping[tuple[int, int], int]:
     """Number of acyclic orientations of the graph of h per (sink count, ascent).
 

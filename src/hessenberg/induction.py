@@ -220,8 +220,14 @@ def _restrictions(h: HessenbergFunction, k: int) -> Restrictions:
 
 
 def _sink_set_sum(restrictions: Restrictions, f) -> GradedPolynomial:
-    """Sum over the (T, h_T) of t^(2 deg T) f(h_T), for f(h_T) a GradedPolynomial."""
-    return sum((f(h_t).shifted(t.degree) for t, h_t in restrictions), GradedPolynomial(()))
+    """Sum over the (T, h_T) of t^(2 deg T) f(h_T), for f(h_T) a coefficient sequence."""
+    total: list[int] = []
+    for t, h_t in restrictions:
+        coeffs = f(h_t)
+        total.extend([0] * (t.degree + len(coeffs) - len(total)))
+        for i, x in enumerate(coeffs, t.degree):
+            total[i] += x
+    return GradedPolynomial(tuple(total))
 
 
 def _sink_set_params(restrictions: Restrictions) -> list[dict]:
@@ -231,14 +237,14 @@ def _sink_set_params(restrictions: Restrictions) -> list[dict]:
     ]
 
 
-def _c_polynomial(h_t: Optional[HessenbergFunction], mu: Partition) -> GradedPolynomial:
+def _c_column(h_t: Optional[HessenbergFunction], mu: Partition) -> tuple[int, ...]:
     """The tabloid coefficients of mu in decompose(h_T), one per degree. With
     no h_T (an edgeless graph) the empty decomposition is 1 at degree 0."""
     if h_t is None:
-        return GradedPolynomial((1,))
+        return (1,)
     dec = decompose(h_t)
     pi = dec.order.index(mu)
-    return GradedPolynomial(tuple(row[pi] for row in dec.c))
+    return tuple(row[pi] for row in dec.c)
 
 
 def _coefficient_failures(
@@ -256,10 +262,10 @@ def _coefficient_failures(
 
 
 def _first_column_sums(restrictions: Restrictions, lams) -> dict[Partition, GradedPolynomial]:
-    """Per lambda, the sum over the (T, h_T) of t^(2 deg T) times the c-polynomial
+    """Per lambda, the sum over the (T, h_T) of t^(2 deg T) times the c-column
     of lambda less its first column in decompose(h_T)."""
     return {
-        lam: _sink_set_sum(restrictions, lambda h_t: _c_polynomial(h_t, _less_first_column(lam)))
+        lam: _sink_set_sum(restrictions, lambda h_t: _c_column(h_t, _less_first_column(lam)))
         for lam in lams
     }
 
@@ -301,7 +307,7 @@ def check_nilpotent_poincare_recursion(h: HessenbergFunction) -> CheckReport:
     polynomials of the h_T, coefficient-wise (abelian h)."""
     _require_abelian(h, "the recursion")
     n = h.n
-    sub = _sink_set_sum(_restrictions(h, 2), lambda h_t: betti_table(h_t)[(n - 2,)])
+    sub = _sink_set_sum(_restrictions(h, 2), lambda h_t: betti_table(h_t)[(n - 2,)].coeffs)
     lhs, rhs = betti_table(h)[(n,)], _one_sink_polynomial(h) + sub
     return _polynomial_report("nilpotent_poincare_recursion", {"h": list(h.values)}, lhs, rhs)
 
@@ -316,7 +322,7 @@ def check_regular_poincare_recursion(
     if len(nu) != 2 or nu[0] < nu[1] or nu[1] < 1 or sum(nu) != n:
         raise ValueError(f"nu={nu} is not a two-part partition of {n}")
     mu = _less_first_column(tuple(nu))
-    sub = _sink_set_sum(_restrictions(h, 2), lambda h_t: betti_table(h_t)[mu])
+    sub = _sink_set_sum(_restrictions(h, 2), lambda h_t: betti_table(h_t)[mu].coeffs)
     lhs, rhs = betti_table(h)[tuple(nu)], betti_table(h)[(n,)] + sub
     params = {"h": list(h.values), "nu": list(nu)}
     return _polynomial_report("regular_poincare_recursion", params, lhs, rhs)

@@ -1,16 +1,18 @@
 """Partitions, Kostka numbers, the fixed-space matrix N = K^T K, tableau counts,
-and the one exact solve of N c = b, which yields both c and d = K c."""
+and the one exact solve of N c = b, as int64 products with the inverse of K
+under overflow bounds, which yields both c and d = K c."""
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from math import factorial
-from operator import mul
 from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .roots import HessenbergFunction
 
@@ -123,6 +125,13 @@ class IntegerMatrix:
     def entry(self, lam: Partition, nu: Partition) -> int:
         return self.rows[self.order.index(lam)][self.order.index(nu)]
 
+    @cached_property
+    def array(self) -> np.ndarray:
+        """The rows as a read-only int64 array, built on first use."""
+        out = np.array(self.rows, dtype=np.int64)
+        out.flags.writeable = False
+        return out
+
     def to_json_dict(self) -> dict:
         """Row-major entries with the partition labels attached."""
         return {
@@ -130,6 +139,17 @@ class IntegerMatrix:
             "labels": [list(lam) for lam in self.order.partitions],
             "rows": [list(row) for row in self.rows],
         }
+
+
+def _int64_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The exact int64 product a·b. Raises NonIntegralSolution unless u·|b| < 2**62
+    in float64, with u the largest |a| in each column: that keeps every partial
+    sum under 2**63, rounding included. Elementwise, as a BLAS call would add to
+    the peak resident set."""
+    u = np.abs(a.astype(np.float64)).max(axis=0, initial=0.0)
+    if (u[:, None] * np.abs(b.astype(np.float64))).sum(axis=0).max(initial=0.0) >= 2**62:
+        raise NonIntegralSolution(f"a {a.shape} by {b.shape} int64 product could overflow")
+    return a @ b
 
 
 @lru_cache(maxsize=None)
@@ -142,16 +162,24 @@ def kostka_matrix(n: int) -> IntegerMatrix:
 
 
 @lru_cache(maxsize=None)
+def _inverse_kostka(n: int) -> np.ndarray:
+    """The exact inverse of K as a read-only int64 array: back-substitution,
+    as K is unit upper-triangular, then an exact check that K·K^-1 = I."""
+    k = kostka_matrix(n).array
+    inv = np.eye(len(k), dtype=np.int64)
+    for i in range(len(k) - 2, -1, -1):
+        inv[i, i + 1 :] = -(k[i, i + 1 :] @ inv[i + 1 :, i + 1 :])
+    if not np.array_equal(_int64_product(k, inv), np.eye(len(k), dtype=np.int64)):
+        raise ArithmeticError(f"K times its computed inverse is not I at n={n}")
+    inv.flags.writeable = False
+    return inv
+
+
+@lru_cache(maxsize=None)
 def fixed_space_matrix(n: int) -> IntegerMatrix:
     """N = K^T K, with N[lam][nu] the dimension of the S_nu-fixed subspace of M^lam."""
-    order = partitions_of(n)
-    k = kostka_matrix(n).rows
-    m = len(order)
-    rows = tuple(
-        tuple(sum(k[mu][a] * k[mu][b] for mu in range(m)) for b in range(m))
-        for a in range(m)
-    )
-    return IntegerMatrix(order, rows)
+    k = kostka_matrix(n).array
+    return IntegerMatrix(partitions_of(n), tuple(map(tuple, _int64_product(k.T, k).tolist())))
 
 
 def solve_fixed_space_system(
@@ -159,29 +187,28 @@ def solve_fixed_space_system(
 ) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
     """The unique integer solutions of N c = b, one per vector b in rows, as (C, D).
 
-    N = K^T K with K unit upper-triangular, so the forward pass K^T d = b
-    gives d = K c, the Specht coefficients (Young's rule), and the back pass
-    K c = d gives c. Each c is rechecked exactly: c N must equal b.
+    N = K^T K, so with the vectors b as the rows of B, the int64 products
+    D = B K^-1 (Young's rule: each row d = K c, the Specht coefficients) and
+    C = D K^-T give the tabloid coefficients. The recheck dots each row of N,
+    read from fixed_space_matrix(n) at the call, with each c to give back b.
+    A vector that fails the recheck or an overflow bound of _int64_product
+    raises NonIntegralSolution.
     """
-    k = kostka_matrix(n).rows
-    m = len(k)
-    k_columns = tuple(zip(*k))
-    n_rows = fixed_space_matrix(n).rows  # N is symmetric, so c N is N c
-    c_rows, d_rows = [], []
+    inv = _inverse_kostka(n)
+    m = len(inv)
     for b in rows:
         if len(b) != m:
             raise SizeMismatch(f"vector length {len(b)} != {m} partitions of {n}")
-        d: list[int] = []
-        for i in range(m):  # map stops at len(d) == i: the terms K[j][i] d[j], j < i
-            d.append(b[i] - sum(map(mul, k_columns[i], d)))
-        c = [0] * m
-        for i in range(m - 1, -1, -1):
-            c[i] = d[i] - sum(map(mul, k[i][i + 1 :], c[i + 1 :]))
-        if [sum(map(mul, row, c)) for row in n_rows] != list(b):
-            raise NonIntegralSolution(f"N c != b for b={list(b)}")
-        c_rows.append(tuple(c))
-        d_rows.append(tuple(d))
-    return tuple(c_rows), tuple(d_rows)
+    try:
+        big_b = np.array(rows, dtype=np.int64).reshape(len(rows), m)
+    except OverflowError:
+        raise NonIntegralSolution(f"a vector at n={n} does not fit in int64") from None
+    d = _int64_product(big_b, inv)
+    c = _int64_product(d, inv.T)
+    wrong = np.flatnonzero((_int64_product(c, fixed_space_matrix(n).array.T) != big_b).any(axis=1))
+    if len(wrong):
+        raise NonIntegralSolution(f"N c != b for b={list(rows[wrong[0]])}")
+    return tuple(map(tuple, c.tolist())), tuple(map(tuple, d.tolist()))
 
 
 def count_ph_tableaux(h: HessenbergFunction, shape: Partition) -> int:

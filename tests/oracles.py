@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 from math import factorial
+from operator import mul
 
 from hypothesis import strategies as st
 
@@ -30,6 +31,12 @@ from hessenberg.orientations import (
     degree_of,
     relabeling,
     restrict,
+)
+from hessenberg.partitions import (
+    NonIntegralSolution,
+    SizeMismatch,
+    fixed_space_matrix,
+    kostka_matrix,
 )
 from hessenberg.roots import roots_of
 
@@ -251,3 +258,35 @@ def restrict_orientation(omega: AcyclicOrientation, T) -> AcyclicOrientation:
     bits = tuple(right for _, right in kept)
     sinks, asc = _sinks_and_asc(sub, bits)
     return AcyclicOrientation(sub, bits, sinks, asc)
+
+
+def solve_fixed_space_reference(n: int, rows):
+    """N c = b for each b in rows in plain Python ints, as (C, D): the forward
+    pass K^T d = b, then the back pass K c = d, each c rechecked against N."""
+    k = kostka_matrix(n).rows
+    m = len(k)
+    n_rows = fixed_space_matrix(n).rows
+    c_rows, d_rows = [], []
+    for b in rows:
+        if len(b) != m:
+            raise SizeMismatch(f"vector length {len(b)} != {m} partitions of {n}")
+        d: list[int] = []
+        for i in range(m):
+            d.append(b[i] - sum(k[j][i] * d[j] for j in range(i)))
+        c = [0] * m
+        for i in range(m - 1, -1, -1):
+            c[i] = d[i] - sum(k[i][j] * c[j] for j in range(i + 1, m))
+        if [sum(map(mul, row, c)) for row in n_rows] != list(b):
+            raise NonIntegralSolution(f"N c != b for b={list(b)}")
+        c_rows.append(tuple(c))
+        d_rows.append(tuple(d))
+    return tuple(c_rows), tuple(d_rows)
+
+
+def fixed_space_reference(n: int) -> tuple[tuple[int, ...], ...]:
+    """N = K^T K by the triple sum over plain Python ints."""
+    k = kostka_matrix(n).rows
+    m = len(k)
+    return tuple(
+        tuple(sum(k[mu][a] * k[mu][b] for mu in range(m)) for b in range(m)) for a in range(m)
+    )

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hessenberg.cli as cli
-from hessenberg import induction, orientations, roots
+from hessenberg import dot_action, induction, orientations, roots
 from hessenberg.betti import MAX_POINCARE_N, SizeGuard
 from hessenberg.cli import (
     EXIT_CHECK_FAILED,
@@ -226,7 +226,8 @@ def test_verify_json_joined_from_worker_text_is_one_json_dump(monkeypatch, stub)
 
 @pytest.mark.parametrize("values, layers", [((3, 4, 5, 6, 6, 6), {2}), ((4, 4, 4, 4), {1, 2})])
 def test_verify_of_one_abelian_h_builds_each_fact_once(monkeypatch, values, layers):
-    # every check of h reads SK_k and is_abelian(h); each is built once per h
+    # every check of h reads SK_k, is_abelian(h) and its orientation histogram;
+    # each is built once per h
     h = validate_hessenberg(values)
     calls = []
 
@@ -241,10 +242,18 @@ def test_verify_of_one_abelian_h_builds_each_fact_once(monkeypatch, values, laye
     for module in (orientations, induction, cli):
         monkeypatch.setattr(module, "sink_sets", sink_sets)
     monkeypatch.setattr(roots, "root_sum", counted(roots.root_sum, "root_sum"))
+    histograms = []
+    real_histogram = dot_action._sink_set_polynomials
+    monkeypatch.setattr(
+        dot_action, "_sink_set_polynomials", lambda g: histograms.append(g) or real_histogram(g)
+    )
     induction._restrictions.cache_clear()
     roots.is_abelian.cache_clear()
+    dot_action.orientation_histogram.cache_clear()
     assert run_cli("verify", ",".join(map(str, values)), "all")[0] == EXIT_OK
     assert sorted(k for name, k in calls if name == "sink_sets") == sorted(layers)
+    # prop72 and the orientation check share one orientation histogram of h
+    assert histograms == [h]
     # the pairwise abelian test sums every ordered pair of roots of I_h once
     assert sum(name == "root_sum" for name, *_ in calls) == len(ideal_of(h)) ** 2
 

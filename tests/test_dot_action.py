@@ -380,6 +380,7 @@ def test_memoised_values_are_read_only(values):
     with pytest.raises(AttributeError):
         decompose(h).c = ()
     assert betti_table(h) is betti_table(h) and decompose(h) is decompose(h)
+    assert orientation_histogram(h) is orientation_histogram(h)
 
 
 def _perturbed_decomposition():

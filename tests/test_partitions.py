@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hessenberg import partitions
+from hessenberg.betti import poincare_polynomials
 from hessenberg.partitions import (
     IntegerMatrix,
     NonIntegralSolution,
@@ -25,9 +26,11 @@ from oracles import (
     brute_nonneg_matrix_count,
     brute_ph_tableaux,
     dominates,
+    fixed_space_reference,
     hessenberg_values,
     hook_length_count,
     multinomial,
+    solve_fixed_space_reference,
     ssyt_count,
 )
 
@@ -235,6 +238,71 @@ def test_young_rule_round_trip():
         (c,), (d,) = solve_fixed_space_system(n, [_times(rows, c_true)])
         assert c == tuple(c_true)
         assert d == _times(kostka_matrix(n).rows, c_true)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_fixed_space_matrix_is_the_python_triple_sum(n):
+    assert fixed_space_matrix(n).rows == fixed_space_reference(n)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_solve_of_every_betti_table_matches_reference(n):
+    order = partitions_of(n).partitions
+    for h in enumerate_hessenberg_functions(n):
+        rows = list(zip(*(p.coeffs for p in poincare_polynomials(h, order))))
+        assert solve_fixed_space_system(n, rows) == solve_fixed_space_reference(n, rows)
+
+
+@pytest.mark.parametrize("n", range(1, 14))
+def test_solve_of_large_random_vectors_matches_reference(n):
+    rng = random.Random(1000 + n)
+    rows = fixed_space_matrix(n).rows
+    c_true = [[rng.randint(-10**6, 10**6) for _ in rows] for _ in range(4)]
+    b = [_times(rows, c_row) for c_row in c_true]
+    c, d = solve_fixed_space_system(n, b)
+    assert (c, d) == solve_fixed_space_reference(n, b)
+    assert c == tuple(map(tuple, c_true))
+
+
+def test_solve_of_every_row_of_n_at_13_matches_reference():
+    rows = fixed_space_matrix(13).rows
+    assert solve_fixed_space_system(13, rows) == solve_fixed_space_reference(13, rows)
+
+
+@pytest.mark.parametrize("entry", [2**62, -(2**62), 2**63 - 1, -(2**63), 2**70])
+def test_solve_rejects_vectors_that_could_overflow(entry):
+    b = [0] * len(partitions_of(5))
+    b[-1] = entry
+    with pytest.raises(NonIntegralSolution) as caught:
+        solve_fixed_space_system(5, [fixed_space_matrix(5).rows[0], b])
+    assert "\n" not in str(caught.value)
+
+
+def test_solve_recheck_catches_a_wrong_inverse(monkeypatch):
+    n = 5
+    wrong = partitions._inverse_kostka(n).copy()
+    wrong[0, -1] += 1
+    monkeypatch.setattr(partitions, "_inverse_kostka", lambda size: wrong)
+    with pytest.raises(NonIntegralSolution):
+        solve_fixed_space_system(n, [fixed_space_matrix(n).rows[-1]])
+
+
+def test_inverse_kostka_check_is_live(monkeypatch):
+    # a K whose diagonal is not all ones has no inverse by unit back-substitution
+    n = 4
+    rows = [list(row) for row in kostka_matrix(n).rows]
+    rows[-1][-1] = 2
+    monkeypatch.setattr(
+        partitions,
+        "kostka_matrix",
+        lambda size: IntegerMatrix(partitions_of(size), tuple(map(tuple, rows))),
+    )
+    partitions._inverse_kostka.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError):
+            partitions._inverse_kostka(n)
+    finally:
+        partitions._inverse_kostka.cache_clear()
 
 
 def test_ph_tableaux_golden():
