@@ -138,7 +138,7 @@ MAX_POINCARE_N = 13
 """Largest n the Poincaré engine accepts. One call holds about
 (2^n + n 2^(n-1)) (n + |Phi_h^-|) int64 DP values, and one layer's gathered
 copy at a time. For h = (n,...,n) the process peak grows by about 60 MB for one
-composition and 70 MB for all partitions at n = 13, 25 and 30 MB at n = 12;
+composition and 70 MB for all partitions at n = 13, 24 and 30 MB at n = 12;
 each n doubles it or more."""
 
 
@@ -149,14 +149,20 @@ def poincare_size_guard(n: int) -> None:
 
 
 @lru_cache(maxsize=None)
-def _subset_dp_plan(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list, list]:
+def _subset_dp_plan(
+    n: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, list, list]:
     """Index arrays of the subset DP on n positions; they depend on n alone.
 
-    One entry per pair (S, q) with q in S, ordered by |S|, then by the rank
-    of the mask S among those of its size, then by q. Per pair: the mask of
-    T = S minus {q}, q, |T|, and the DP buffer row where T's prefix sums
-    start (layer k holds k + 1 rows per k-subset, the first one zero). Also
-    the first pair and the first buffer row of each layer.
+    Layer s of the DP buffer is s + 1 blocks of C(n, s) rows, one row per
+    s-subset in the order of its mask's rank among those of its size. Block j
+    holds, for every s-subset S, the sum over the first j members of S, so
+    block 0 is zero but for layer 0's one row. One entry per pair (S, q) with
+    q in S, ordered by |S|, then by j, the index of q among the members of S,
+    then by the rank of S: the pairs of layer s gather block by block, in the
+    order of its rows. Per pair: the mask of T = S minus {q}, q, |T|, the
+    buffer row of T in block 0, and C(n, |T|), the rows from one of T's sums
+    to the next. Also the first pair and the first buffer row of each layer.
     """
     masks = np.arange(1 << n, dtype=np.int64)
     size = np.bitwise_count(masks).astype(np.int64)
@@ -165,14 +171,17 @@ def _subset_dp_plan(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
     rank = np.empty_like(masks)
     rank[by_size] = np.arange(1 << n) - first[size[by_size]]
     subsets, q = np.nonzero((by_size[1:, None] >> np.arange(n)) & 1)
-    t = by_size[1:][subsets] ^ (np.int64(1) << q)
+    s = by_size[1:][subsets]
+    j = np.bitwise_count(s & ((np.int64(1) << q) - 1))
+    order = np.lexsort((rank[s], j, size[s]))
+    s, q = s[order], q[order]
+    t = s ^ (np.int64(1) << q)
     k = size[t]
-    layer_rows = [0]
-    for s in range(n + 1):
-        layer_rows.append(layer_rows[-1] + comb(n, s) * (s + 1))
-    row = np.array(layer_rows)[k] + rank[t] * (k + 1)
+    blocks = np.array([comb(n, m) for m in range(n + 1)])
+    layer_rows = np.concatenate([[0], np.cumsum(blocks * np.arange(1, n + 2))]).tolist()
+    row = np.array(layer_rows)[k] + rank[t]
     first_pair = np.searchsorted(k, np.arange(n + 1)).tolist()
-    return t, q, k, row, first_pair, layer_rows
+    return t, q, k, row, blocks[k], first_pair, layer_rows
 
 
 @lru_cache(maxsize=None)
@@ -215,36 +224,49 @@ def poincare_polynomials(
     from the last. Layer s reads nu only through whether step s - 1 lies in
     J_nu, so the compositions are taken in the order of their J_nu bit
     vectors, and each one recomputes only the layers after its first bit that
-    differs from the previous one. A gather reads, for each pair of the
-    layer, the |Phi_h^-| + 1 buffer entries that start at the pair's cell for
-    that bit.
+    differs from the previous one.
+
+    Layers are member-major (see _subset_dp_plan), so the gather of layer s
+    comes out as s blocks, one per member index j, and block j + 1 of the
+    layer is block j plus gathered block j: one contiguous add, not a cumsum
+    along the short member axis, which is several times slower. A row is the
+    |Phi_h^-| + 1 coefficients, then pad zeros, pad the largest degree step,
+    and the buffer starts with pad zeros, so a gather shifted back by its
+    degree step reads zeros below degree 0. The pad stays zero, as a state's
+    degree plus the step never exceeds |Phi_h^-|: each inversion counted is
+    a distinct pair of Phi_h^- among the filled positions. A RuntimeError is
+    raised if it does not.
     """
     n = h.n
     bits, steps = _step_plan(n, tuple(map(tuple, compositions)))
     poincare_size_guard(n)
-    t, q, k, row, first_pair, layer_rows = _subset_dp_plan(n)
+    t, q, k, row, stride, first_pair, layer_rows = _subset_dp_plan(n)
     hv = np.array(h.values, dtype=np.int64)
     reach = hv - np.arange(1, n + 1)  # h(j) - j
-    pad = int(reach.max())  # largest degree step, so reads below degree 0 hit zeros
+    pad = int(reach.max())  # largest degree step
     top = int(reach.sum())  # |Phi_h^-|
     width = pad + top + 1
     below_h = (np.int64(1) << hv) - 1  # 0-based positions r with r + 1 <= h(q)
     above_q = below_h & ~((np.int64(2) << np.arange(n)) - 1)  # and r > q
     start = row * width + pad - np.bitwise_count(t & above_q[q])
     # members r read, by whether step |T| is in J_nu (row 1) or not (row 0); the
-    # cast keeps the uint8 of bitwise_count from wrapping in allowed * width
+    # cast keeps the uint8 of bitwise_count from wrapping in allowed * stride
     allowed = np.stack([k, np.bitwise_count(t & below_h[q]).astype(np.int64)])
-    cells = start + allowed * width
-    dp = np.zeros((layer_rows[-1], width), dtype=np.int64)
-    dp[0, pad] = 1  # the empty placement
-    windows = np.lib.stride_tricks.sliding_window_view(dp.reshape(-1), top + 1)
+    cells = start + allowed * stride * width
+    flat = np.zeros(pad + layer_rows[-1] * width, dtype=np.int64)
+    dp = flat[pad:].reshape(-1, width)
+    dp[0, 0] = 1  # the empty placement
+    windows = np.lib.stride_tricks.sliding_window_view(flat, width)
     polys: dict[tuple[int, ...], GradedPolynomial] = {}
     for key, first in steps:
         for s in range(first + 1, n + 1):
-            placed = windows[cells[key[s - 1], first_pair[s - 1] : first_pair[s]]]
-            layer = dp[layer_rows[s] : layer_rows[s + 1]].reshape(-1, s + 1, width)
-            placed.reshape(-1, s, top + 1).cumsum(axis=1, out=layer[:, 1:, pad:])
-        polys[key] = GradedPolynomial(tuple(dp[-1, pad:].tolist()))
+            placed = windows[cells[key[s - 1], first_pair[s - 1] : first_pair[s]]].reshape(s, -1)
+            blocks = dp[layer_rows[s] : layer_rows[s + 1]].reshape(s + 1, -1)
+            for j in range(s):
+                np.add(blocks[j], placed[j], out=blocks[j + 1])
+        polys[key] = GradedPolynomial(tuple(dp[-1, : top + 1].tolist()))
+    if dp[:, top + 1 :].any():
+        raise RuntimeError(f"a degree of the Poincaré DP for h={h.values} passed |Phi_h^-|")
     return [polys[key] for key in bits]
 
 

@@ -91,11 +91,12 @@ def kostka(nu: Partition, lam: Partition) -> int:
 
 def _horizontal_strips(shape: Partition, k: int) -> Iterator[Partition]:
     """Every shape that adds k cells to shape, no two of them in one column."""
-    rows = (*shape, 0)
-    tops = (rows[0] + k, *shape)  # row i may grow up to the old length of row i - 1
-    for grown in product(*(range(lo, hi + 1) for lo, hi in zip(rows, tops))):
-        if sum(grown) == sum(rows) + k:
-            yield grown if grown[-1] else grown[:-1]
+    size = sum(shape) + k
+    tops = ((shape[0] if shape else 0) + k, *shape)  # row i grows up to row i - 1
+    for grown in product(*(range(lo, hi + 1) for lo, hi in zip(shape, tops))):
+        last = size - sum(grown)  # the new bottom row takes what is left
+        if 0 <= last <= tops[-1]:
+            yield (*grown, last) if last else grown
 
 
 @lru_cache(maxsize=None)

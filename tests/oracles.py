@@ -124,6 +124,17 @@ def ssyt_count(shape: tuple[int, ...], content: tuple[int, ...]) -> int:
     return count
 
 
+def horizontal_strips_reference(shape: tuple[int, ...], k: int):
+    """Every shape that adds k cells to shape, no two in one column: every
+    vector of row lengths in the box, the new bottom row included, kept when
+    it has the right size."""
+    rows = (*shape, 0)
+    tops = (rows[0] + k, *shape)  # row i may grow up to the old length of row i - 1
+    for grown in itertools.product(*(range(lo, hi + 1) for lo, hi in zip(rows, tops))):
+        if sum(grown) == sum(rows) + k:
+            yield grown if grown[-1] else grown[:-1]
+
+
 def mahonian(n: int) -> list[int]:
     """Permutations of [n] counted by inversion number (q-factorial coefficients)."""
     coeffs = [1]

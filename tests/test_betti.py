@@ -1,9 +1,12 @@
+import hashlib
 import itertools
 from math import comb, factorial
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hessenberg import betti
 from hessenberg.betti import (
     MAX_POINCARE_N,
     GradedPolynomial,
@@ -21,6 +24,7 @@ from hessenberg.betti import (
     shortest_coset_decompose,
     shortest_coset_representatives,
 )
+from hessenberg.dot_action import betti_table
 from hessenberg.partitions import partitions_of
 from hessenberg.roots import (
     enumerate_hessenberg_functions,
@@ -142,6 +146,50 @@ def test_poincare_polynomials_at_n10_match_closed_forms():
     nilpotent, semisimple = poincare_polynomials(peterson, [(n,), (1,) * n])
     assert nilpotent.coeffs == tuple(comb(n - 1, i) for i in range(n))
     assert semisimple.total() == factorial(n)
+
+
+def _table_digest(hs):
+    """sha256 of the coefficient tuples of the Betti table of each h, in order."""
+    tables = [[poly.coeffs for poly in betti_table(h).values()] for h in hs]
+    return hashlib.sha256(repr(tables).encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "hs, expected",
+    [
+        (
+            lambda: enumerate_hessenberg_functions(8),
+            "9ef2913a5d8e9c633477c588c79fd95c859c7650fe99b787e0e80a53c1f5a68a",
+        ),
+        (
+            lambda: [
+                validate_hessenberg(values)
+                for n in (11, 12, 13)
+                for values in ([n] * n, list(range(2, n + 1)) + [n])
+            ],
+            "a795e50d55fd2fb43ca9b58d756604c51a1520d8bd4a5ef89988bece1969c679",
+        ),
+    ],
+    ids=["every_h_at_n8", "full_and_peterson_at_n11_to_13"],
+)
+def test_betti_tables_are_pinned(hs, expected):
+    # digests of the engine's output before its DP layout changed
+    assert _table_digest(hs()) == expected
+
+
+def test_poincare_pad_check_is_live(monkeypatch):
+    # pairs taken subset-major, not member-major, read sums at the wrong rows
+    # and carry degrees past |Phi_h^-| into the pad, which the engine rejects
+    plan = betti._subset_dp_plan
+
+    def subset_major(n):
+        t, q, k, row, stride, first_pair, layer_rows = plan(n)
+        order = np.lexsort((q, t | (1 << q), k))
+        return t[order], q[order], k[order], row[order], stride[order], first_pair, layer_rows
+
+    monkeypatch.setattr(betti, "_subset_dp_plan", subset_major)
+    with pytest.raises(RuntimeError, match="passed"):
+        poincare_polynomial((1, 1, 1), validate_hessenberg([1, 3, 3]))
 
 
 @pytest.mark.parametrize(

@@ -29,6 +29,7 @@ from oracles import (
     fixed_space_reference,
     hessenberg_values,
     hook_length_count,
+    horizontal_strips_reference,
     multinomial,
     solve_fixed_space_reference,
     ssyt_count,
@@ -89,6 +90,15 @@ def test_kostka_matrix_unit_upper_triangular(n):
         assert rows[a][a] == 1
         for b in range(a):
             assert rows[a][b] == 0
+
+
+def test_horizontal_strips_match_reference():
+    shapes = [()] + [lam for n in range(1, 9) for lam in partitions_of(n)]
+    for shape in shapes:
+        for k in range(9):
+            strips = list(partitions._horizontal_strips(shape, k))
+            assert len(set(strips)) == len(strips)
+            assert set(strips) == set(horizontal_strips_reference(shape, k))
 
 
 @pytest.mark.parametrize("n", range(1, 9))
