@@ -10,7 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .roots import HessenbergFunction, Root
+from .roots import HessenbergFunction, Root, negative_root_count
 
 Permutation = tuple[int, ...]  # one-line notation, 1-based values
 
@@ -136,10 +136,12 @@ class GradedPolynomial:
 
 MAX_POINCARE_N = 13
 """Largest n the Poincaré engine accepts. One call holds about
-(2^n + n 2^(n-1)) (n + |Phi_h^-|) int64 DP values, and one layer's gathered
-copy at a time. For h = (n,...,n) the process peak grows by about 60 MB for one
-composition and 70 MB for all partitions at n = 13, 24 and 30 MB at n = 12;
-each n doubles it or more."""
+(2^n + n 2^(n-1)) (n + |Phi_h^-|) int32 DP values, and one layer's gathered
+copy at a time. A stored value counts bijections of at most n - 1 values, so
+it is at most (n - 1)! < 2^31 up to n = 13; the last layer, which can reach
+n!, is summed in int64 and never stored. For h = (n,...,n) the full table of
+every partition raises the process peak by about 40 MB at n = 13, in 0.15 s on
+a 2-core VM, and by 16 MB at n = 12; each n doubles it or more."""
 
 
 def poincare_size_guard(n: int) -> None:
@@ -229,13 +231,17 @@ def poincare_polynomials(
     Layers are member-major (see _subset_dp_plan), so the gather of layer s
     comes out as s blocks, one per member index j, and block j + 1 of the
     layer is block j plus gathered block j: one contiguous add, not a cumsum
-    along the short member axis, which is several times slower. A row is the
-    |Phi_h^-| + 1 coefficients, then pad zeros, pad the largest degree step,
-    and the buffer starts with pad zeros, so a gather shifted back by its
-    degree step reads zeros below degree 0. The pad stays zero, as a state's
-    degree plus the step never exceeds |Phi_h^-|: each inversion counted is
-    a distinct pair of Phi_h^- among the filled positions. A RuntimeError is
-    raised if it does not.
+    along the short member axis, which is several times slower. The buffer
+    holds layers 0..n - 1 in int32, which holds their counts up to
+    MAX_POINCARE_N. Layer n has one subset, and only its full sum is read,
+    so its n gathered rows are summed at once in int64 and not stored.
+
+    A row is the |Phi_h^-| + 1 coefficients, then pad zeros, pad the largest
+    degree step, and the buffer starts with pad zeros, so a gather shifted
+    back by its degree step reads zeros below degree 0. The pad stays zero,
+    as a state's degree plus the step never exceeds |Phi_h^-|: each inversion
+    counted is a distinct pair of Phi_h^- among the filled positions. A
+    RuntimeError is raised if it does not, in a stored row or a summed one.
     """
     n = h.n
     bits, steps = _step_plan(n, tuple(map(tuple, compositions)))
@@ -244,7 +250,7 @@ def poincare_polynomials(
     hv = np.array(h.values, dtype=np.int64)
     reach = hv - np.arange(1, n + 1)  # h(j) - j
     pad = int(reach.max())  # largest degree step
-    top = int(reach.sum())  # |Phi_h^-|
+    top = negative_root_count(h)
     width = pad + top + 1
     below_h = (np.int64(1) << hv) - 1  # 0-based positions r with r + 1 <= h(q)
     above_q = below_h & ~((np.int64(2) << np.arange(n)) - 1)  # and r > q
@@ -253,20 +259,21 @@ def poincare_polynomials(
     # cast keeps the uint8 of bitwise_count from wrapping in allowed * stride
     allowed = np.stack([k, np.bitwise_count(t & below_h[q]).astype(np.int64)])
     cells = start + allowed * stride * width
-    flat = np.zeros(pad + layer_rows[-1] * width, dtype=np.int64)
+    flat = np.zeros(pad + layer_rows[n] * width, dtype=np.int32)  # layers 0..n-1
     dp = flat[pad:].reshape(-1, width)
     dp[0, 0] = 1  # the empty placement
     windows = np.lib.stride_tricks.sliding_window_view(flat, width)
-    polys: dict[tuple[int, ...], GradedPolynomial] = {}
+    sums: dict[tuple[int, ...], np.ndarray] = {}
     for key, first in steps:
-        for s in range(first + 1, n + 1):
+        for s in range(first + 1, n):
             placed = windows[cells[key[s - 1], first_pair[s - 1] : first_pair[s]]].reshape(s, -1)
             blocks = dp[layer_rows[s] : layer_rows[s + 1]].reshape(s + 1, -1)
             for j in range(s):
                 np.add(blocks[j], placed[j], out=blocks[j + 1])
-        polys[key] = GradedPolynomial(tuple(dp[-1, : top + 1].tolist()))
-    if dp[:, top + 1 :].any():
+        sums[key] = windows[cells[key[n - 1], first_pair[n - 1] :]].sum(axis=0, dtype=np.int64)
+    if dp[:, top + 1 :].any() or any(row[top + 1 :].any() for row in sums.values()):
         raise RuntimeError(f"a degree of the Poincaré DP for h={h.values} passed |Phi_h^-|")
+    polys = {key: GradedPolynomial(tuple(row[: top + 1].tolist())) for key, row in sums.items()}
     return [polys[key] for key in bits]
 
 

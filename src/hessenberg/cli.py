@@ -55,6 +55,7 @@ from .roots import (
     is_abelian,
     is_strictly_negative,
     lower_central_series,
+    negative_root_count,
     validate_hessenberg,
 )
 
@@ -89,7 +90,7 @@ class TableCache:
     def table(self, h: HessenbergFunction) -> Mapping[Partition, GradedPolynomial]:
         path = self.root / f"{_partition_key(h.values)}.json"
         order = partitions_of(h.n).partitions
-        size = sum(h.values) - h.n * (h.n + 1) // 2 + 1  # |Phi_h^-| = sum of h(j) - j
+        size = negative_root_count(h) + 1
         rows = self._read(path, list(h.values), len(order), size)
         if rows is not None:
             return dict(zip(order, map(GradedPolynomial, rows)))

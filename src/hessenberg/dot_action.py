@@ -21,7 +21,7 @@ from .partitions import (
     solve_fixed_space_system,
 )
 from .reports import CheckReport, mismatch, report_from_failures
-from .roots import HessenbergFunction, is_abelian, roots_of
+from .roots import HessenbergFunction, is_abelian, negative_root_count
 
 CHROMATIC_MAX_N = 6  # largest n for the brute-force coloring walk; verify skips it above
 
@@ -89,7 +89,7 @@ def decompose_table(
     Every polynomial in table must hold exactly |Phi_h^-| + 1 coefficients.
     """
     order = partitions_of(h.n)
-    size = len(roots_of(h)[0]) + 1
+    size = negative_root_count(h) + 1
     columns = [table[nu].coeffs for nu in order]
     for nu, coeffs in zip(order, columns):
         if len(coeffs) != size:
@@ -127,7 +127,7 @@ def _sink_set_polynomials(h: HessenbergFunction) -> list[list[int]]:
     sink i, each an ascent.
     """
     n = h.n
-    top = sum(h.values) - n * (n + 1) // 2  # |Phi_h^-|
+    top = negative_root_count(h)
     states: dict[tuple[int, int], list[int]] = {(0, 0): [1] + [0] * top}  # l = 0: none yet
     m = 1
     for i in range(1, n + 1):

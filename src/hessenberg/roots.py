@@ -123,6 +123,11 @@ def roots_of(h: HessenbergFunction) -> tuple[RootSet, RootSet]:
     return RootSet.of(n, minus), RootSet.of(n, minus + plus)
 
 
+def negative_root_count(h: HessenbergFunction) -> int:
+    """|Phi_h^-| = sum of h(j) - j, the number of negative roots with i <= h(j)."""
+    return sum(h.values) - h.n * (h.n + 1) // 2
+
+
 def is_ideal(roots: RootSet) -> bool:
     """Whether a set of negative roots is closed under adding any negative root."""
     s = roots.members

@@ -202,6 +202,21 @@ def test_semisimple_poincare_at_n11(values):
     assert coeffs == coeffs[::-1]
 
 
+def test_stored_dp_counts_fit_int32_up_to_the_engine_bound():
+    # a stored count at layer s < n counts bijections of 1..s onto s positions
+    assert factorial(MAX_POINCARE_N - 1) < 2**31
+
+
+def test_poincare_at_the_engine_bound():
+    n = MAX_POINCARE_N
+    full = poincare_polynomials(validate_hessenberg([n] * n), [(1,) * n, (n,)])
+    assert [poly.coeffs for poly in full] == [tuple(mahonian(n))] * 2
+    # every Mahonian coefficient fits in int32, but with h(i) = i (no negative
+    # roots) all n! permutations land in degree 0, so the last layer's sum does not
+    semisimple = poincare_polynomial((1,) * n, validate_hessenberg(range(1, n + 1)))
+    assert semisimple.coeffs == (factorial(n),) and factorial(n) >= 2**31
+
+
 def test_poincare_refuses_n_above_engine_bound():
     n = MAX_POINCARE_N + 1
     with pytest.raises(SizeGuard):

@@ -116,6 +116,15 @@ def test_kostka_standard_column_is_hook_length(n):
         assert k.entry(lam, (1,) * n) == hook_length_count(lam)
 
 
+@pytest.mark.parametrize("n", range(1, 14))
+def test_kostka_columns_count_words_by_rsk(n):
+    # RSK: words of content mu are pairs (standard tableau, SSYT of content mu)
+    k = kostka_matrix(n)
+    for mu in partitions_of(n):
+        words = sum(hook_length_count(lam) * k.entry(lam, mu) for lam in partitions_of(n))
+        assert words == multinomial(mu)
+
+
 def test_fixed_space_examples():
     n4 = fixed_space_matrix(4)
     assert n4.entry((3, 1), (2, 2)) == 2
