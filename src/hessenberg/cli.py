@@ -6,6 +6,9 @@ decompose, betti and verify); 3 theorem-check failure. Errors print one line to 
 Conjecture findings are reported but never fail the exit code; a closed stdout ends the
 run silently by SIGPIPE. `verify n` runs its sweep as chunks of h on one forked worker
 per CPU and prints the reports in sweep order. --cache-dir keeps one Betti table per h.
+
+As a library, main(argv, out) may be called many times in one process: the parser is
+built on the first call and reused by every later one.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import os
 import signal
 import sys
 import tempfile
+from functools import lru_cache
 from itertools import repeat
 from pathlib import Path
 from typing import Any, Mapping, NamedTuple, Optional, Sequence
@@ -423,8 +427,16 @@ def cmd_verify(args, out) -> int:
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="hessenberg", description=__doc__)
+    """The CLI's parser, built on the first call and shared by every later one.
+
+    Reuse is safe: parse_args starts each call from a fresh Namespace, defaults are
+    read from the actions, and help text is formatted (terminal width included) only
+    when it is printed. Callers must not add to or change the returned parser.
+    """
+    # --help shows the module docstring up to its last paragraph, which is for library use
+    parser = _Parser(prog="hessenberg", description=__doc__.rpartition("\n\n")[0])
     parser.add_argument("--max-n", type=int, default=7, help="size guard (default 7)")
     parser.add_argument(
         "--cache-dir", default=None, help="per-h Betti table files (decompose; betti without --nu)"
@@ -464,6 +476,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
+    """Run one command line (sys.argv[1:] when argv is None), writing its output to out
+    (sys.stdout when None), and return its exit code; argparse usage errors and --help
+    raise SystemExit. May be called many times in one process: every call parses with
+    the one parser that the first call builds.
+    """
     out = out if out is not None else sys.stdout
     parser = build_parser()
     args = parser.parse_args(argv)

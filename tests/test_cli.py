@@ -306,6 +306,76 @@ def test_importing_the_cli_loads_no_process_pool():
     assert done.stdout == "[]\n"
 
 
+def test_parser_is_built_once_and_not_at_import():
+    code = """
+import argparse, io, json
+built = [0]
+init = argparse.ArgumentParser.__init__
+def counted(self, *args, **kwargs):
+    built[0] += 1
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counted
+import hessenberg.cli as cli
+at_import = (built[0], cli.build_parser.cache_info().currsize)
+argvs = (["enumerate", "3"], ["decompose", "2,3,3"], ["betti", "2,3,3"])
+codes = [cli.main(argv, io.StringIO()) for argv in argvs]
+info = cli.build_parser.cache_info()
+print(json.dumps([at_import, codes, built[0], info.misses, info.hits]))
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    # nothing built at import; then one parser and its six subcommand parsers, once
+    assert json.loads(done.stdout) == [[0, 0], [0, 0, 0], 7, 1, 2]
+
+
+CALL_SEQUENCE = (
+    ("--max-n", "0", "enumerate", "3"),
+    ("--help",),
+    ("--format", "pretty", "decompose", "2,3,3"),
+    ("decompose", "2,3,3"),
+    ("betti", "2,3,3", "--nu", "2,1"),
+    ("betti", "2,3,3"),
+    ("--max-n", "3", "enumerate", "4"),
+    ("--help",),
+)
+
+
+def _call(argv, capsys):
+    """(exit code or ("SystemExit", code), out, stdout, stderr) of one main() call."""
+    out = io.StringIO()
+    try:
+        code = main(list(argv), out)
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    captured = capsys.readouterr()
+    return code, out.getvalue(), captured.out, captured.err
+
+
+def test_calls_in_one_process_do_not_leak_into_each_other(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    cli.build_parser.cache_clear()  # the sequence starts with the first build
+    reused = [_call(argv, capsys) for argv in CALL_SEQUENCE]
+    assert cli.build_parser.cache_info().misses == 1
+
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = [_call(argv, capsys) for argv in CALL_SEQUENCE]
+    assert reused == fresh
+
+    usage, first_help, pretty, plain, one_nu, all_nu, guard, later_help = reused
+    assert usage[0] == ("SystemExit", EXIT_USAGE)
+    assert usage[3].endswith("hessenberg: error: --max-n must be at least 1\n")
+    assert first_help[0] == ("SystemExit", 0) and first_help[2].startswith("usage: hessenberg")
+    assert later_help == first_help
+    assert pretty[0] == EXIT_OK and pretty[1].startswith("h = (2,3,3)")
+    assert plain[0] == EXIT_OK and json.loads(plain[1])["h"] == [2, 3, 3]
+    assert json.loads(one_nu[1])[0]["nu"] == [2, 1]
+    assert [entry["nu"] for entry in json.loads(all_nu[1])] == [[3], [2, 1], [1, 1, 1]]
+    assert guard[0] == EXIT_SIZE_GUARD and guard[3].startswith("hessenberg: size guard: ")
+
+
 def test_verify_usage_error():
     code, _ = run_cli("verify", "abc")
     assert code == EXIT_USAGE
