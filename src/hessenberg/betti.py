@@ -135,13 +135,18 @@ class GradedPolynomial:
 
 
 MAX_POINCARE_N = 13
-"""Largest n the Poincaré engine accepts. One call holds about
-(2^n + n 2^(n-1)) (n + |Phi_h^-|) int32 DP values, and one layer's gathered
-copy at a time. A stored value counts bijections of at most n - 1 values, so
-it is at most (n - 1)! < 2^31 up to n = 13; the last layer, which can reach
-n!, is summed in int64 and never stored. For h = (n,...,n) the full table of
-every partition raises the process peak by about 40 MB at n = 13, in 0.15 s on
-a 2-core VM, and by 16 MB at n = 12; each n doubles it or more."""
+"""Largest n the Poincaré engine accepts. A stored DP value counts bijections
+of at most n - 1 values, so it is at most (n - 1)! < 2^31 up to n = 13; the
+last layer, which can reach n!, is summed in int64 and never stored. One
+block of poincare_tables holds about (2^n + n 2^(n-1)) H W int32 values for
+H functions of width W (see POINCARE_BLOCK_CELLS), and one layer's gathered
+copy at a time. A block of one h = (n,...,n) with every partition raises the
+process peak by about 40 MB at n = 13, in 0.15 s on a 2-core VM, and by 16 MB
+at n = 12; each n doubles it or more."""
+
+POINCARE_BLOCK_CELLS = 1 << 19
+"""Most int32 DP values (2 MB) that poincare_tables puts in one block of
+several h; a single h that needs more runs as a block of one."""
 
 
 def poincare_size_guard(n: int) -> None:
@@ -210,11 +215,45 @@ def poincare_polynomials(
     h: HessenbergFunction, compositions: Sequence[Sequence[int]]
 ) -> list[GradedPolynomial]:
     """Poincaré polynomial of the regular Hessenberg variety of Jordan type
-    nu, for each nu in compositions, in input order.
+    nu, for each nu in compositions, in input order: poincare_tables on the
+    block of h alone. Each sums t^(2 |N^-(w) ∩ Phi_h^-|) over the w in S_n
+    with w^{-1}(J_nu) inside Phi_h; coefficients run over degrees
+    0..|Phi_h^-| with trailing zeros kept.
+    """
+    return poincare_tables([h], compositions)[0]
 
-    Each sums t^(2 |N^-(w) ∩ Phi_h^-|) over the w in S_n with w^{-1}(J_nu)
-    inside Phi_h; coefficients run over degrees 0..|Phi_h^-| with trailing
-    zeros kept.
+
+def poincare_tables(
+    hs: Sequence[HessenbergFunction], compositions: Sequence[Sequence[int]]
+) -> list[list[GradedPolynomial]]:
+    """poincare_polynomials(h, compositions) for each h in hs, in input order.
+
+    The h must share n. They run in blocks, in input order: a block takes the
+    next h while it holds at most POINCARE_BLOCK_CELLS values (see
+    MAX_POINCARE_N), or one h alone. A block is one DP pass, so every h of it
+    shares its numpy calls.
+    """
+    hs = list(hs)
+    n = hs[0].n if hs else 0
+    if any(h.n != n for h in hs):
+        raise ValueError("the functions of one poincare_tables call must share n")
+    poincare_size_guard(n)
+    out, block, pad, top = [], [], 0, 0
+    for h in hs:
+        h_pad, h_top = max(v - j for j, v in enumerate(h.values, 1)), negative_root_count(h)
+        width = max(pad, h_pad) + max(top, h_top) + 1
+        if block and _subset_dp_plan(n)[-1][n] * (len(block) + 1) * width > POINCARE_BLOCK_CELLS:
+            out += _poincare_block(block, compositions)
+            block, pad, top = [], 0, 0
+        block.append(h)
+        pad, top = max(pad, h_pad), max(top, h_top)
+    return out + (_poincare_block(block, compositions) if block else [])
+
+
+def _poincare_block(
+    hs: list[HessenbergFunction], compositions: Sequence[Sequence[int]]
+) -> list[list[GradedPolynomial]]:
+    """The Poincaré polynomials of every h in hs, which share n, by one DP pass.
 
     The sum is a DP that places the values 1..n in increasing order. Its
     state is the set S of filled positions and the position r of the last
@@ -236,45 +275,58 @@ def poincare_polynomials(
     MAX_POINCARE_N. Layer n has one subset, and only its full sum is read,
     so its n gathered rows are summed at once in int64 and not stored.
 
-    A row is the |Phi_h^-| + 1 coefficients, then pad zeros, pad the largest
-    degree step, and the buffer starts with pad zeros, so a gather shifted
-    back by its degree step reads zeros below degree 0. The pad stays zero,
-    as a state's degree plus the step never exceeds |Phi_h^-|: each inversion
-    counted is a distinct pair of Phi_h^- among the filled positions. A
-    RuntimeError is raised if it does not, in a stored row or a summed one.
+    Each row of the plan is H slots, slot row H + x for hs[x], so one gather
+    and one add serve every h. A slot is the |Phi_h^-| + 1 coefficients of
+    its h, then zeros up to the shared width W: pad, the largest degree step
+    of the block, plus its largest |Phi_h^-| plus 1. The buffer starts with
+    pad zeros, so a gather shifted back by its degree step reads zeros below
+    degree 0. Those zeros stay zero, as a state's degree plus the step never
+    exceeds |Phi_h^-|: each inversion counted is a distinct pair of Phi_h^-
+    among the filled positions. A RuntimeError is raised if it does not, in
+    a stored slot or a summed one, checked per h with a mask.
     """
-    n = h.n
+    n, size = hs[0].n, len(hs)
     bits, steps = _step_plan(n, tuple(map(tuple, compositions)))
-    poincare_size_guard(n)
     t, q, k, row, stride, first_pair, layer_rows = _subset_dp_plan(n)
-    hv = np.array(h.values, dtype=np.int64)
-    reach = hv - np.arange(1, n + 1)  # h(j) - j
-    pad = int(reach.max())  # largest degree step
-    top = negative_root_count(h)
-    width = pad + top + 1
-    below_h = (np.int64(1) << hv) - 1  # 0-based positions r with r + 1 <= h(q)
-    above_q = below_h & ~((np.int64(2) << np.arange(n)) - 1)  # and r > q
-    start = row * width + pad - np.bitwise_count(t & above_q[q])
+    hv = np.array([h.values for h in hs], dtype=np.int64)
+    pad = int((hv - np.arange(1, n + 1)).max())  # largest degree step, h(j) - j
+    tops = np.array([negative_root_count(h) for h in hs])
+    width = pad + int(tops.max()) + 1
+    below_h = ((np.int64(1) << hv.T) - 1)[q]  # 0-based positions r with r + 1 <= h(q)
+    above_q = below_h & ~((np.int64(2) << q) - 1)[:, None]  # and r > q
+    slot = row[:, None] * size + np.arange(size)
+    start = slot * width + pad - np.bitwise_count(t[:, None] & above_q)
     # members r read, by whether step |T| is in J_nu (row 1) or not (row 0); the
-    # cast keeps the uint8 of bitwise_count from wrapping in allowed * stride
-    allowed = np.stack([k, np.bitwise_count(t & below_h[q]).astype(np.int64)])
-    cells = start + allowed * stride * width
-    flat = np.zeros(pad + layer_rows[n] * width, dtype=np.int32)  # layers 0..n-1
+    # cast keeps the uint8 of bitwise_count from wrapping in the product
+    step = (stride * size * width)[:, None]  # from one of T's sums to the next
+    allowed = np.bitwise_count(t[:, None] & below_h).astype(np.int64)
+    cells = np.stack([start + k[:, None] * step, start + allowed * step]).reshape(2, -1)
+    flat = np.zeros(pad + layer_rows[n] * size * width, dtype=np.int32)  # layers 0..n-1
     dp = flat[pad:].reshape(-1, width)
-    dp[0, 0] = 1  # the empty placement
+    dp[:size, 0] = 1  # the empty placement
     windows = np.lib.stride_tricks.sliding_window_view(flat, width)
     sums: dict[tuple[int, ...], np.ndarray] = {}
     for key, first in steps:
         for s in range(first + 1, n):
-            placed = windows[cells[key[s - 1], first_pair[s - 1] : first_pair[s]]].reshape(s, -1)
-            blocks = dp[layer_rows[s] : layer_rows[s + 1]].reshape(s + 1, -1)
+            pairs = cells[key[s - 1], first_pair[s - 1] * size : first_pair[s] * size]
+            placed = windows[pairs].reshape(s, -1)
+            blocks = dp[layer_rows[s] * size : layer_rows[s + 1] * size].reshape(s + 1, -1)
             for j in range(s):
                 np.add(blocks[j], placed[j], out=blocks[j + 1])
-        sums[key] = windows[cells[key[n - 1], first_pair[n - 1] :]].sum(axis=0, dtype=np.int64)
-    if dp[:, top + 1 :].any() or any(row[top + 1 :].any() for row in sums.values()):
+        last = windows[cells[key[n - 1], first_pair[n - 1] * size :]].reshape(n, size, width)
+        sums[key] = last.sum(axis=0, dtype=np.int64)
+    spill = np.arange(width) > tops[:, None]  # the degrees past |Phi_h^-|, per h
+    over = dp.reshape(-1, size, width)[:, spill].any(axis=0)
+    for rows in sums.values():
+        over |= rows[spill] != 0
+    if over.any():
+        h = hs[np.nonzero(spill)[0][over.argmax()]]
         raise RuntimeError(f"a degree of the Poincaré DP for h={h.values} passed |Phi_h^-|")
-    polys = {key: GradedPolynomial(tuple(row[: top + 1].tolist())) for key, row in sums.items()}
-    return [polys[key] for key in bits]
+    tables = {key: rows.tolist() for key, rows in sums.items()}
+    return [
+        [GradedPolynomial(tuple(tables[key][x][: top + 1])) for key in bits]
+        for x, top in enumerate(tops.tolist())
+    ]
 
 
 def poincare_polynomial(nu: Sequence[int], h: HessenbergFunction) -> GradedPolynomial:

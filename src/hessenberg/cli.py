@@ -29,6 +29,7 @@ from .betti import GradedPolynomial, SizeGuard, poincare_polynomial, poincare_si
 from .dot_action import (
     CHROMATIC_MAX_N,
     betti_table,
+    betti_tables,
     chromatic_check,
     decompose,
     decompose_table,
@@ -348,7 +349,10 @@ class _Encoded(NamedTuple):
 
 
 def _chunk_reports(chunk: list[HessenbergFunction], which: str) -> list[_Encoded]:
-    """The reports of a chunk, JSON-encoded in the process that checks it."""
+    """The reports of a chunk, JSON-encoded in the process that checks it. The
+    Betti tables of h they read (only abelian h read one for thm61, prop72 and
+    prop73) are built first, in blocks of several h."""
+    betti_tables([h for h in chunk if which in ("all", "oracles", "conj81") or is_abelian(h)])
     return [
         _Encoded(
             "    " + json.dumps(r.to_json_dict(), **_JSON_OPTIONS).replace("\n", "\n    "),

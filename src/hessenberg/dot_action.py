@@ -9,15 +9,15 @@ from math import comb
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
-from .betti import GradedPolynomial, poincare_polynomials
+from .betti import GradedPolynomial, poincare_tables
 from .orientations import build_graph, max_sink_set_size
 from .partitions import (
     Partition,
     PartitionOrder,
     SizeMismatch,
-    count_ph_tableaux,
     dual_partition,
     partitions_of,
+    ph_tableaux_counts,
     solve_fixed_space_system,
 )
 from .reports import CheckReport, mismatch, report_from_failures
@@ -65,20 +65,27 @@ class GradedRepDecomposition:
         }
 
 
-@lru_cache(maxsize=None)
-def _betti_table(h: HessenbergFunction) -> Mapping[Partition, GradedPolynomial]:
-    order = partitions_of(h.n).partitions
-    return MappingProxyType(dict(zip(order, poincare_polynomials(h, order))))
+_betti_tables: dict[HessenbergFunction, Mapping[Partition, GradedPolynomial]] = {}
+
+
+def betti_tables(hs: Sequence[HessenbergFunction]) -> list[Mapping[Partition, GradedPolynomial]]:
+    """The Betti table of each h in hs, which share n, in input order.
+
+    Memoised per h: the tables not yet built are built together by one
+    poincare_tables call, in blocks of several h, and kept for the process.
+    """
+    missing = [h for h in dict.fromkeys(hs) if h not in _betti_tables]
+    if missing:
+        order = partitions_of(missing[0].n).partitions
+        for h, polys in zip(missing, poincare_tables(missing, order)):
+            _betti_tables[h] = MappingProxyType(dict(zip(order, polys)))
+    return [_betti_tables[h] for h in hs]
 
 
 def betti_table(h: HessenbergFunction) -> Mapping[Partition, GradedPolynomial]:
-    """Poincaré polynomial of the regular Hessenberg variety for every nu of n.
-
-    Memoised per h by _betti_table. This plain front keeps perfbench's span
-    tracer, which reads the attributes of a memoised builder's result, off
-    the read-only mapping.
-    """
-    return _betti_table(h)
+    """Poincaré polynomial of the regular Hessenberg variety for every nu of n:
+    betti_tables on h alone, so a table filled by a block is read, not rebuilt."""
+    return betti_tables([h])[0]
 
 
 def decompose_table(
@@ -194,11 +201,13 @@ def orientation_count_check(h: HessenbergFunction, dec: GradedRepDecomposition) 
 
 
 def gasharov_check(h: HessenbergFunction, dec: GradedRepDecomposition) -> CheckReport:
-    """Sum of d over degrees equals the count of P_h-tableaux of the dual shape."""
+    """Sum of d over degrees equals the count of P_h-tableaux of the dual shape,
+    all read from one ph_tableaux_counts mapping."""
+    counts = ph_tableaux_counts(h)
     failures = []
     for pi, lam in enumerate(dec.order.partitions):
         total = sum(dec.d[i][pi] for i in dec.degrees)
-        tableaux = count_ph_tableaux(h, dual_partition(lam))
+        tableaux = counts.get(dual_partition(lam), 0)
         if total != tableaux:
             failures.append(mismatch({"lambda": list(lam)}, tableaux, total))
     return report_from_failures("gasharov_tableaux", {"h": list(h.values)}, failures)

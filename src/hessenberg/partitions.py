@@ -223,55 +223,64 @@ def count_ph_tableaux(h: HessenbergFunction, shape: Partition) -> int:
     """Number of P_h-tableaux of the given shape.
 
     Each of 1..n appears once; an entry immediately right of j must exceed h(j);
-    an entry i immediately below j needs j <= h(i). Counted row by row from
-    the top through _tableaux_below, whose memo is shared by every shape and h.
+    an entry i immediately below j needs j <= h(i). Read from ph_tableaux_counts.
     """
     if sum(shape) != h.n:
         raise SizeMismatch(f"|{shape}| != {h.n}")
     rows = tuple(p for p in shape if p)
     if any(a < b for a, b in zip(rows, rows[1:])):
         raise ValueError(f"{shape} is not a partition")
-    return _tableaux_below(bytes((*rows, 0, *h.values)) + b"\x01" * rows[0])
+    return ph_tableaux_counts(h).get(rows, 0)
+
+
+def ph_tableaux_counts(h: HessenbergFunction) -> Mapping[Partition, int]:
+    """Number of P_h-tableaux of every shape that has one, by one pass of the
+    row DP _tableaux_by_shape, whose memo is shared by every h."""
+    return MappingProxyType(_tableaux_by_shape(bytes(h.values), b"\x01" * h.n))
 
 
 @lru_cache(maxsize=None)
-def _tableaux_below(state: bytes) -> int:
-    """P_h-tableaux of the rows left, from the canonical state
-    bytes((*rows, 0, *h_U, *bounds)).
+def _tableaux_by_shape(h_u: bytes, bounds: bytes) -> dict[Partition, int]:
+    """P_h-tableaux of the m values left, per shape (its rows, top first), from
+    the canonical state (h_U, bounds). Callers must not change the result.
 
-    rows are the lengths of the rows left, top first. h_U is h induced on the
-    m unused values relabelled 1..m: h_U(a) counts the unused values <= h(u_a).
-    bounds[c] is the least rank the entry in column c of the top row left may
-    take: an entry i below j needs h(i) >= j, and h is nondecreasing. The
-    count depends on nothing else, so the memo is shared across shapes and h.
+    h_U is h induced on the m unused values relabelled 1..m: h_U(a) counts the
+    unused values <= h(u_a). bounds[c] is the least rank the entry in column c
+    of the top row left may take, one per column it can fill. The top row is
+    a chain v_1 < v_2 < ... with v_(c+1) > h_U(v_c), so each chain, of length
+    w, is enumerated once and closes a top row of length w over the rows that
+    _rows_below counts. The memo is shared across h.
     """
-    end = state.index(0)
-    rows = state[:end]
-    m = sum(rows)
-    h_u, bounds = state[end + 1 : end + 1 + m], state[end + 1 + m :]
-    width, rest = rows[0], rows[1:]
-    if not rest:  # the last row holds every value left, in increasing order
-        return int(
-            all(bounds[a] <= a + 1 for a in range(m))
-            and all(h_u[a] == a + 1 for a in range(m - 1))
-        )
-    total = 0
+    m = len(h_u)
+    out: dict[Partition, int] = {}
     chain: list[int] = []
 
     def extend(lo: int) -> None:
-        nonlocal total
-        col = len(chain)
-        if col == width:
-            kept = [a for a in range(1, m + 1) if a not in chain]
-            h_next = [bisect_right(kept, h_u[a - 1]) for a in kept]
-            # the least rank below v is the least a with h_U(a) >= v, among kept
-            below = [bisect_left(kept, bisect_left(h_u, v) + 1) + 1 for v in chain[: rest[0]]]
-            total += _tableaux_below(bytes((*rest, 0, *h_next, *below)))
-            return
-        for v in range(max(lo, bounds[col]), m - width + col + 2):
+        width = len(chain) + 1
+        for v in range(max(lo, bounds[width - 1]), m + 1):
             chain.append(v)
-            extend(h_u[v - 1] + 1)
+            for rows, count in (_rows_below(h_u, chain) if width < m else {(): 1}).items():
+                out[(width, *rows)] = out.get((width, *rows), 0) + count
+            if width < len(bounds):
+                extend(h_u[v - 1] + 1)
             chain.pop()
 
     extend(1)
-    return total
+    return out
+
+
+def _rows_below(h_u: bytes, chain: list[int]) -> Mapping[Partition, int]:
+    """P_h-tableaux, per shape, of the values left under a top row chain. An
+    entry i below j needs h(i) >= j, so the least rank below u is the least
+    kept a with h_U(a) >= u; a row is a chain, so it also exceeds h_U of the
+    bound before it. The bounds stop at the first column no value can fill."""
+    kept = [a for a in range(1, len(h_u) + 1) if a not in chain]
+    h_next = bytes(bisect_right(kept, h_u[a - 1]) for a in kept)
+    bounds, lo = [], 1
+    for u in chain:
+        least = max(lo, bisect_left(kept, bisect_left(h_u, u) + 1) + 1)
+        if least > len(kept):
+            break
+        bounds.append(least)
+        lo = h_next[least - 1] + 1
+    return _tableaux_by_shape(h_next, bytes(bounds)) if bounds else {}

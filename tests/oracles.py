@@ -8,6 +8,7 @@ implementations it cross-checks.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 from functools import lru_cache
 from math import factorial
 from operator import mul
@@ -205,6 +206,54 @@ def brute_ph_tableaux(h_values: tuple[int, ...], shape: tuple[int, ...]) -> int:
         if ok:
             count += 1
     return count
+
+
+def ph_tableaux_reference(h, shape: tuple[int, ...]) -> int:
+    """P_h-tableaux of one shape by the row DP that the package used before it
+    counted every shape in one pass: memoised per (rows left, h_U, bounds)."""
+    rows = tuple(p for p in shape if p)
+    return _tableaux_below(bytes((*rows, 0, *h.values)) + b"\x01" * rows[0])
+
+
+@lru_cache(maxsize=None)
+def _tableaux_below(state: bytes) -> int:
+    """P_h-tableaux of the rows left, from the canonical state
+    bytes((*rows, 0, *h_U, *bounds)).
+
+    rows are the lengths of the rows left, top first. h_U is h induced on the
+    m unused values relabelled 1..m: h_U(a) counts the unused values <= h(u_a).
+    bounds[c] is the least rank the entry in column c of the top row left may
+    take: an entry i below j needs h(i) >= j, and h is nondecreasing.
+    """
+    end = state.index(0)
+    rows = state[:end]
+    m = sum(rows)
+    h_u, bounds = state[end + 1 : end + 1 + m], state[end + 1 + m :]
+    width, rest = rows[0], rows[1:]
+    if not rest:  # the last row holds every value left, in increasing order
+        return int(
+            all(bounds[a] <= a + 1 for a in range(m))
+            and all(h_u[a] == a + 1 for a in range(m - 1))
+        )
+    total = 0
+    chain: list[int] = []
+
+    def extend(lo: int) -> None:
+        nonlocal total
+        col = len(chain)
+        if col == width:
+            kept = [a for a in range(1, m + 1) if a not in chain]
+            h_next = [bisect_right(kept, h_u[a - 1]) for a in kept]
+            below = [bisect_left(kept, bisect_left(h_u, v) + 1) + 1 for v in chain[: rest[0]]]
+            total += _tableaux_below(bytes((*rest, 0, *h_next, *below)))
+            return
+        for v in range(max(lo, bounds[col]), m - width + col + 2):
+            chain.append(v)
+            extend(h_u[v - 1] + 1)
+            chain.pop()
+
+    extend(1)
+    return total
 
 
 def multinomial(parts: tuple[int, ...]) -> int:

@@ -20,6 +20,7 @@ from hessenberg.betti import (
     perm_inverse,
     poincare_polynomial,
     poincare_polynomials,
+    poincare_tables,
     satisfies_hessenberg_condition,
     shortest_coset_decompose,
     shortest_coset_representatives,
@@ -135,6 +136,57 @@ def test_poincare_polynomials_match_reference_in_input_order(case):
     assert poincare_polynomials(h, compositions) == [reference[nu] for nu in compositions]
 
 
+@st.composite
+def blocks_of_h(draw):
+    """1-8 Hessenberg functions of one n <= 7, drawn with repeats from a pool of
+    1-4 (so |Phi_h^-| is mixed), 1-3 compositions, and a block bound from one
+    h per block up to all of them in one."""
+    n = draw(st.integers(1, 7))
+    pool = draw(st.lists(hessenberg_values(n, min_n=n), min_size=1, max_size=4))
+    picks = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
+    shapes = st.sampled_from(list(partitions_of(n).partitions) + [(0, n)])
+    compositions = draw(st.lists(shapes, min_size=1, max_size=3))
+    cells = draw(st.sampled_from([1, 1 << 12, 1 << 15, betti.POINCARE_BLOCK_CELLS]))
+    return [validate_hessenberg(v) for v in picks], compositions, cells
+
+
+@settings(max_examples=60, deadline=None)
+@given(blocks_of_h())
+def test_poincare_tables_equal_per_h_calls(case):
+    hs, compositions, cells = case
+    per_h = [poincare_polynomials(h, compositions) for h in hs]
+    original = betti.POINCARE_BLOCK_CELLS
+    betti.POINCARE_BLOCK_CELLS = cells  # restored below; hypothesis reuses the module
+    try:
+        assert poincare_tables(hs, compositions) == per_h
+    finally:
+        betti.POINCARE_BLOCK_CELLS = original
+
+
+def test_poincare_tables_run_in_bounded_blocks(monkeypatch):
+    blocks = []
+    run = betti._poincare_block
+    monkeypatch.setattr(
+        betti, "_poincare_block", lambda hs, *plan: blocks.append(hs) or run(hs, *plan)
+    )
+    hs = all_h(8)
+    poincare_tables(hs, [(8,)])
+    assert [h for block in blocks for h in block] == hs
+    assert 1 < len(blocks) < len(hs)
+
+    def cells(block):  # layers 0..n-1 of H slots of the shared width
+        pad = max(v - j for h in block for j, v in enumerate(h.values, start=1))
+        width = pad + max(len(roots_of(h)[0]) for h in block) + 1
+        return betti._subset_dp_plan(8)[-1][8] * len(block) * width
+
+    assert all(cells(block) <= betti.POINCARE_BLOCK_CELLS for block in blocks)
+    # each block but the last stops at the h that would have crossed the bound
+    assert all(cells(a + b[:1]) > betti.POINCARE_BLOCK_CELLS for a, b in zip(blocks, blocks[1:]))
+    assert poincare_tables([], [(7,)]) == []
+    with pytest.raises(ValueError, match="share n"):
+        poincare_tables([validate_hessenberg([2, 2]), validate_hessenberg([3, 3, 3])], [(1, 1)])
+
+
 def test_poincare_polynomials_at_n10_match_closed_forms():
     n = 10
     order = partitions_of(n).partitions
@@ -177,6 +229,16 @@ def test_betti_tables_are_pinned(hs, expected):
     assert _table_digest(hs()) == expected
 
 
+def test_betti_tables_are_pinned_from_one_block_call():
+    # the digest of every_h_at_n8 above, from one poincare_tables call over all 1,430 h
+    hs = all_h(8)
+    tables = [[poly.coeffs for poly in polys] for polys in poincare_tables(hs, partitions_of(8))]
+    assert len(tables) == 1430
+    assert hashlib.sha256(repr(tables).encode()).hexdigest() == (
+        "9ef2913a5d8e9c633477c588c79fd95c859c7650fe99b787e0e80a53c1f5a68a"
+    )
+
+
 def test_poincare_pad_check_is_live(monkeypatch):
     # pairs taken subset-major, not member-major, read sums at the wrong rows
     # and carry degrees past |Phi_h^-| into the pad, which the engine rejects
@@ -190,6 +252,11 @@ def test_poincare_pad_check_is_live(monkeypatch):
     monkeypatch.setattr(betti, "_subset_dp_plan", subset_major)
     with pytest.raises(RuntimeError, match="passed"):
         poincare_polynomial((1, 1, 1), validate_hessenberg([1, 3, 3]))
+    # in a block, each h is checked against its own |Phi_h^-|: the slots of
+    # (3, 3, 3) are wider than those of (1, 3, 3), which still spills
+    block = [validate_hessenberg(v) for v in ([3, 3, 3], [1, 3, 3])]
+    with pytest.raises(RuntimeError, match=r"h=\(1, 3, 3\) passed"):
+        poincare_tables(block, [(1, 1, 1)])
 
 
 @pytest.mark.parametrize(

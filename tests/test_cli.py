@@ -29,6 +29,7 @@ from hessenberg.roots import (
     HessenbergError,
     enumerate_hessenberg_functions,
     ideal_of,
+    is_abelian,
     validate_hessenberg,
 )
 
@@ -185,6 +186,39 @@ def test_verify_output_is_the_same_for_any_worker_count(monkeypatch, argv):
         outputs.append(run_cli(*argv))
     assert outputs[0][0] == EXIT_OK
     assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
+VERIFY_7_ALL_SHA256 = "cef194fd57210a7674c2883951ddad8b772ffaab1bcd0dfcb2c8c184fcfd609c"
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+def test_verify_7_all_output_is_pinned(monkeypatch, workers):
+    # the digest perfbench pins for its sweep7 workload, here in tier 1
+    monkeypatch.setattr(cli, "_cpu_count", lambda: workers)
+    code, text = run_cli("verify", "7", "all")
+    assert code == EXIT_OK
+    assert hashlib.sha256(text.encode()).hexdigest() == VERIFY_7_ALL_SHA256
+
+
+@pytest.mark.parametrize(
+    "which, reads", [("all", lambda h: True), ("thm61", is_abelian)]
+)
+def test_verify_chunk_builds_its_tables_in_one_call(monkeypatch, which, reads):
+    calls = []
+    real = dot_action.poincare_tables
+    monkeypatch.setattr(
+        dot_action, "poincare_tables", lambda hs, order: calls.append(hs) or real(hs, order)
+    )
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 1)
+    dot_action._betti_tables.clear()
+    dot_action.decompose.cache_clear()
+    assert run_cli("verify", "5", which)[0] == EXIT_OK
+    # one call per chunk of 11 h with the h of the chunk whose reports read a
+    # table, if any; the h_T of smaller n are built one by one as checks read them
+    functions = list(enumerate_hessenberg_functions(5))
+    chunks = [[h for h in functions[i : i + 11] if reads(h)] for i in range(0, 42, 11)]
+    assert [hs for hs in calls if hs[0].n == 5] == [hs for hs in chunks if hs]
+    assert all(len(hs) == 1 for hs in calls if hs[0].n < 5)
 
 
 def _stub_reports(h, which):

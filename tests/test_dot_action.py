@@ -4,7 +4,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings
 
-from hessenberg.betti import GradedPolynomial, poincare_polynomial
+from hessenberg.betti import GradedPolynomial, poincare_polynomial, poincare_tables
 from hessenberg.dot_action import (
     betti_table,
     chromatic_check,
@@ -59,6 +59,49 @@ def test_betti_table_values():
     for n in range(1, 6):
         for hh in all_h(n)[:: max(1, n - 2)]:
             assert betti_table(hh)[(1,) * n].total() == factorial(n)
+
+
+def modular_triples(hs):
+    """(h, h - e_i, h + e_i) for every h in hs and i with h(i - 1) < h(i) < h(i + 1),
+    h(i) > i and h(h(i)) = h(h(i) + 1), where h(0) = 0; the three share n."""
+    by_values = {h.values: h for h in hs}
+    for h in hs:
+        v = (0, *h.values)
+        for i in range(1, h.n):
+            if v[i - 1] < v[i] < v[i + 1] and v[i] > i and v[v[i]] == v[v[i] + 1]:
+                lower, upper = list(h.values), list(h.values)
+                lower[i - 1] -= 1
+                upper[i - 1] += 1
+                yield h, by_values[tuple(lower)], by_values[tuple(upper)]
+
+
+def modular_law_failures(dec, lower, upper):
+    """The lambda where (1 + t) c_lambda(h) != t c_lambda(h - e_i) + c_lambda(h + e_i)."""
+    out = []
+    for pi, lam in enumerate(dec.order.partitions):
+        c, c_lower, c_upper = ([row[pi] for row in d.c] for d in (dec, lower, upper))
+        left = [a + b for a, b in zip(c + [0], [0] + c)]
+        right = [a + b for a, b in zip([0] + c_lower + [0], c_upper)]
+        if left != right:
+            out.append(lam)
+    return out
+
+
+@pytest.mark.parametrize("n, triples", [(3, 1), (4, 5), (5, 21), (6, 84), (7, 330)])
+def test_modular_law(n, triples):
+    # the modular law of Guay-Paquet and Abreu–Nigro for the chromatic
+    # quasisymmetric function, read coefficientwise in the e-basis, on tables
+    # built for every h of n by one poincare_tables call
+    hs = all_h(n)
+    order = partitions_of(n).partitions
+    decs = {
+        h: decompose_table(h, dict(zip(order, polys)))
+        for h, polys in zip(hs, poincare_tables(hs, order))
+    }
+    found = list(modular_triples(hs))
+    assert len(found) == triples
+    for h, lower, upper in found:
+        assert modular_law_failures(decs[h], decs[lower], decs[upper]) == [], h
 
 
 @pytest.mark.parametrize("n", range(1, 8))

@@ -7,7 +7,7 @@ from hessenberg.betti import (
     perm_compose,
     perm_inverse,
     poincare_polynomial,
-    poincare_polynomials,
+    poincare_tables,
 )
 from hessenberg.induction import (
     BetaNotInIdeal,
@@ -321,20 +321,25 @@ def _polynomial_failure(expected, actual):
 def perturbed_h_t(monkeypatch):
     """P_(3)(h_T) gains 1 at degree 1; every other Poincaré polynomial is exact."""
 
-    def perturbed(h, compositions):
-        polys = poincare_polynomials(h, compositions)
+    def perturbed(hs, compositions):
         return [
-            poly + GradedPolynomial((0, 1)) if h == PERTURBED_H_T and tuple(nu) == (3,) else poly
-            for nu, poly in zip(compositions, polys)
+            [
+                poly + GradedPolynomial((0, 1))
+                if h == PERTURBED_H_T and tuple(nu) == (3,)
+                else poly
+                for nu, poly in zip(compositions, polys)
+            ]
+            for h, polys in zip(hs, poincare_tables(hs, compositions))
         ]
 
-    memos = (dot_action._betti_table, dot_action.decompose)
-    for memo in memos:
-        memo.cache_clear()
-    monkeypatch.setattr(dot_action, "poincare_polynomials", perturbed)
+    def clear_memos():
+        dot_action._betti_tables.clear()
+        dot_action.decompose.cache_clear()
+
+    clear_memos()
+    monkeypatch.setattr(dot_action, "poincare_tables", perturbed)
     yield
-    for memo in memos:  # keep the perturbed values out of later tests
-        memo.cache_clear()
+    clear_memos()  # keep the perturbed values out of later tests
 
 
 def test_two_part_induction_failure_certificate(perturbed_h_t):

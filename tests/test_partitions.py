@@ -18,6 +18,7 @@ from hessenberg.partitions import (
     kostka,
     kostka_matrix,
     partitions_of,
+    ph_tableaux_counts,
     solve_fixed_space_system,
 )
 from hessenberg.roots import enumerate_hessenberg_functions, validate_hessenberg
@@ -31,6 +32,7 @@ from oracles import (
     hook_length_count,
     horizontal_strips_reference,
     multinomial,
+    ph_tableaux_reference,
     solve_fixed_space_reference,
     ssyt_count,
 )
@@ -336,6 +338,15 @@ def test_ph_tableaux_brute_force(n):
             assert count_ph_tableaux(h, shape) == brute_ph_tableaux(h.values, shape)
 
 
+@pytest.mark.parametrize("n", range(1, 8))
+def test_ph_tableaux_match_the_one_shape_row_dp(n):
+    # every shape from one pass equals the reference DP that counts one shape at a time
+    for h in enumerate_hessenberg_functions(n):
+        counts = ph_tableaux_counts(h)
+        expected = {shape: ph_tableaux_reference(h, shape) for shape in partitions_of(n)}
+        assert counts == {shape: c for shape, c in expected.items() if c}
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_ph_tableaux_memo_is_shared_safely(data):
@@ -348,7 +359,7 @@ def test_ph_tableaux_memo_is_shared_safely(data):
     warm = [count_ph_tableaux(h, shape) for h, shape in pairs]
     fresh = []
     for h, shape in pairs:
-        partitions._tableaux_below.cache_clear()
+        partitions._tableaux_by_shape.cache_clear()
         fresh.append(count_ph_tableaux(h, shape))
     assert warm == fresh
 
