@@ -7,7 +7,6 @@ from .betti import (
     hessenberg_inversions,
     poincare_polynomial,
     poincare_polynomials,
-    poincare_tables,
     satisfies_hessenberg_condition,
     shortest_coset_decompose,
     shortest_coset_representatives,
@@ -15,7 +14,6 @@ from .betti import (
 from .dot_action import (
     GradedRepDecomposition,
     betti_table,
-    betti_tables,
     chromatic_check,
     decompose,
     decompose_table,
@@ -58,7 +56,6 @@ from .partitions import (
     kostka,
     kostka_matrix,
     partitions_of,
-    ph_tableaux_counts,
     solve_fixed_space_system,
 )
 from .reports import CheckReport

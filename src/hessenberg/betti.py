@@ -238,22 +238,27 @@ def poincare_tables(
     if any(h.n != n for h in hs):
         raise ValueError("the functions of one poincare_tables call must share n")
     poincare_size_guard(n)
-    out, block, pad, top = [], [], 0, 0
+    out, block, pads, tops = [], [], [], []
     for h in hs:
-        h_pad, h_top = max(v - j for j, v in enumerate(h.values, 1)), negative_root_count(h)
-        width = max(pad, h_pad) + max(top, h_top) + 1
+        pad, top = max(v - j for j, v in enumerate(h.values, 1)), negative_root_count(h)
+        width = max([pad, *pads]) + max([top, *tops]) + 1
         if block and _subset_dp_plan(n)[-1][n] * (len(block) + 1) * width > POINCARE_BLOCK_CELLS:
-            out += _poincare_block(block, compositions)
-            block, pad, top = [], 0, 0
+            out += _poincare_block(block, pads, tops, compositions)
+            block, pads, tops = [], [], []
         block.append(h)
-        pad, top = max(pad, h_pad), max(top, h_top)
-    return out + (_poincare_block(block, compositions) if block else [])
+        pads.append(pad)
+        tops.append(top)
+    return out + (_poincare_block(block, pads, tops, compositions) if block else [])
 
 
 def _poincare_block(
-    hs: list[HessenbergFunction], compositions: Sequence[Sequence[int]]
+    hs: list[HessenbergFunction],
+    pads: list[int],
+    tops: list[int],
+    compositions: Sequence[Sequence[int]],
 ) -> list[list[GradedPolynomial]]:
-    """The Poincaré polynomials of every h in hs, which share n, by one DP pass.
+    """The Poincaré polynomials of every h in hs, which share n, by one DP pass;
+    pads and tops hold each h's largest degree step and |Phi_h^-|.
 
     The sum is a DP that places the values 1..n in increasing order. Its
     state is the set S of filled positions and the position r of the last
@@ -289,8 +294,7 @@ def _poincare_block(
     bits, steps = _step_plan(n, tuple(map(tuple, compositions)))
     t, q, k, row, stride, first_pair, layer_rows = _subset_dp_plan(n)
     hv = np.array([h.values for h in hs], dtype=np.int64)
-    pad = int((hv - np.arange(1, n + 1)).max())  # largest degree step, h(j) - j
-    tops = np.array([negative_root_count(h) for h in hs])
+    pad, tops = max(pads), np.array(tops)
     width = pad + int(tops.max()) + 1
     below_h = ((np.int64(1) << hv.T) - 1)[q]  # 0-based positions r with r + 1 <= h(q)
     above_q = below_h & ~((np.int64(2) << q) - 1)[:, None]  # and r > q

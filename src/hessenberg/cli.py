@@ -349,10 +349,11 @@ class _Encoded(NamedTuple):
 
 
 def _chunk_reports(chunk: list[HessenbergFunction], which: str) -> list[_Encoded]:
-    """The reports of a chunk, JSON-encoded in the process that checks it. The
-    Betti tables of h they read (only abelian h read one for thm61, prop72 and
-    prop73) are built first, in blocks of several h."""
-    betti_tables([h for h in chunk if which in ("all", "oracles", "conj81") or is_abelian(h)])
+    """The reports of a chunk, JSON-encoded in the process that checks it. For
+    the checks that read every h's Betti table, the tables are built first, in
+    blocks of several h."""
+    if which in ("all", "oracles", "conj81"):
+        betti_tables(chunk)
     return [
         _Encoded(
             "    " + json.dumps(r.to_json_dict(), **_JSON_OPTIONS).replace("\n", "\n    "),
