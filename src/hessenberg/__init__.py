@@ -6,17 +6,17 @@ from .betti import (
     conjugated_hessenberg,
     hessenberg_inversions,
     poincare_polynomial,
-    poincare_polynomials,
+    poincare_tables,
     satisfies_hessenberg_condition,
     shortest_coset_decompose,
     shortest_coset_representatives,
 )
 from .dot_action import (
     GradedRepDecomposition,
-    betti_table,
     chromatic_check,
     decompose,
     decompose_table,
+    decompositions,
     e_positivity_report,
     gasharov_check,
     orientation_count_check,

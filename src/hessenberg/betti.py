@@ -211,22 +211,13 @@ def _step_plan(
     return bits, tuple(steps)
 
 
-def poincare_polynomials(
-    h: HessenbergFunction, compositions: Sequence[Sequence[int]]
-) -> list[GradedPolynomial]:
-    """Poincaré polynomial of the regular Hessenberg variety of Jordan type
-    nu, for each nu in compositions, in input order: poincare_tables on the
-    block of h alone. Each sums t^(2 |N^-(w) ∩ Phi_h^-|) over the w in S_n
-    with w^{-1}(J_nu) inside Phi_h; coefficients run over degrees
-    0..|Phi_h^-| with trailing zeros kept.
-    """
-    return poincare_tables([h], compositions)[0]
-
-
 def poincare_tables(
     hs: Sequence[HessenbergFunction], compositions: Sequence[Sequence[int]]
 ) -> list[list[GradedPolynomial]]:
-    """poincare_polynomials(h, compositions) for each h in hs, in input order.
+    """Per h in hs, the Poincaré polynomial of the regular Hessenberg variety of Jordan
+    type nu for each nu in compositions, in input order: the sum of t^(2 |N^-(w) ∩ Phi_h^-|)
+    over the w in S_n with w^{-1}(J_nu) inside Phi_h, with coefficients over degrees
+    0..|Phi_h^-| and trailing zeros kept.
 
     The h must share n. They run in blocks, in input order: a block takes the
     next h while it holds at most POINCARE_BLOCK_CELLS values (see
@@ -335,7 +326,7 @@ def _poincare_block(
 
 def poincare_polynomial(nu: Sequence[int], h: HessenbergFunction) -> GradedPolynomial:
     """Poincaré polynomial of the regular Hessenberg variety of Jordan type nu."""
-    return poincare_polynomials(h, [nu])[0]
+    return poincare_tables([h], [nu])[0][0]
 
 
 def shortest_coset_decompose(w: Permutation, nu1: int) -> tuple[Permutation, Permutation]:

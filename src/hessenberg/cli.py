@@ -4,8 +4,8 @@ Exit codes: 0 success; 1 usage error, invalid input or unusable --cache-dir;
 2 size guard (n above --max-n, or above the Poincaré engine's bound for
 decompose, betti and verify); 3 theorem-check failure. Errors print one line to stderr.
 Conjecture findings are reported but never fail the exit code; a closed stdout ends the
-run silently by SIGPIPE. `verify n` runs its sweep as chunks of h on one forked worker
-per CPU and prints the reports in sweep order. --cache-dir keeps one Betti table per h.
+run silently by SIGPIPE. `verify n` runs its sweep as chunks of h on one forked worker per
+CPU and prints the reports in sweep order. --cache-dir keeps one checksummed Betti table per h.
 
 As a library, main(argv, out) may be called many times in one process: the parser is
 built on the first call and reused by every later one.
@@ -23,16 +23,16 @@ import tempfile
 from functools import lru_cache
 from itertools import repeat
 from pathlib import Path
-from typing import Any, Mapping, NamedTuple, Optional, Sequence
+from typing import Any, NamedTuple, Optional, Sequence
 
 from .betti import GradedPolynomial, SizeGuard, poincare_polynomial, poincare_size_guard
 from .dot_action import (
     CHROMATIC_MAX_N,
-    betti_table,
-    betti_tables,
+    GradedRepDecomposition,
     chromatic_check,
     decompose,
     decompose_table,
+    decompositions,
     e_positivity_report,
     gasharov_check,
     orientation_count_check,
@@ -50,7 +50,7 @@ from .orientations import (
     restrict,
     sink_sets,
 )
-from .partitions import Partition, partitions_of
+from .partitions import partitions_of
 from .reports import CheckReport
 from .roots import (
     HessenbergError,
@@ -80,10 +80,10 @@ class _Parser(argparse.ArgumentParser):
 
 class TableCache:
     """One JSON file per h, named by its values, holding the coefficient rows of its
-    Betti table in partitions_of(n) order.
+    Betti table in partitions_of(n) order and the _digest of h and those rows.
 
-    An entry that cannot be read, stores another h, or does not hold one row of
-    |Phi_h^-| + 1 integers per partition is a miss: one warning goes to stderr and
+    An entry that cannot be read, stores another h, does not hold one row of |Phi_h^-| + 1
+    integers per partition, or fails its digest is a miss: one warning goes to stderr and
     the entry is rewritten. Entries are written to a temporary file in the cache
     directory and renamed into place, so no reader sees a partly written entry.
     """
@@ -92,16 +92,18 @@ class TableCache:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
 
-    def table(self, h: HessenbergFunction) -> Mapping[Partition, GradedPolynomial]:
+    def decompose(self, h: HessenbergFunction) -> GradedRepDecomposition:
+        """The decomposition of h, solved from its stored table, or decompose(h) on a miss."""
         path = self.root / f"{_partition_key(h.values)}.json"
         order = partitions_of(h.n).partitions
         size = negative_root_count(h) + 1
         rows = self._read(path, list(h.values), len(order), size)
         if rows is not None:
-            return dict(zip(order, map(GradedPolynomial, rows)))
-        table = betti_table(h)
-        self._write(path, {"h": list(h.values), "rows": [list(table[nu].coeffs) for nu in order]})
-        return table
+            return decompose_table(h, dict(zip(order, map(GradedPolynomial, rows))))
+        dec = decompose(h)
+        rows = [list(dec.table[nu].coeffs) for nu in order]
+        self._write(path, {"h": list(h.values), "rows": rows, "sha256": _digest(h.values, rows)})
+        return dec
 
     @staticmethod
     def _read(path: Path, h: list[int], count: int, size: int) -> Optional[list[tuple[int, ...]]]:
@@ -112,12 +114,14 @@ class TableCache:
             if payload["h"] != h:
                 problem = "stores another h"
             # JSON has no container of ints but a list, so lengths and types suffice
-            elif len(rows) == count and all(
+            elif len(rows) != count or not all(
                 len(row) == size and all(type(c) is int for c in row) for row in rows
             ):
-                return [tuple(row) for row in rows]
-            else:
                 problem = "has malformed rows"
+            elif payload.get("sha256") != _digest(h, rows):
+                problem = "fails its sha256 digest"
+            else:
+                return [tuple(row) for row in rows]
         except FileNotFoundError:
             return None
         except (OSError, ValueError, KeyError, TypeError) as exc:
@@ -134,6 +138,12 @@ class TableCache:
         except BaseException:
             os.unlink(tmp)
             raise
+
+
+def _digest(h: Sequence[int], rows: list) -> str:
+    """The sha256 of a cache entry's h and rows, which the entry stores beside them."""
+    import hashlib  # loading OpenSSL adds 3.5 MB to the RSS of every run; only --cache-dir reads it
+    return hashlib.sha256(json.dumps([list(h), rows]).encode()).hexdigest()
 
 
 def _parse_ints(text: str, what: str) -> list[int]:
@@ -169,13 +179,6 @@ def _partition_key(lam: Sequence[int]) -> str:
 def _guard(n: int, max_n: int) -> None:
     if n > max_n:
         raise SizeGuard(f"n={n} exceeds --max-n={max_n}")
-
-
-def _betti_table(args, h: HessenbergFunction) -> Mapping[Partition, GradedPolynomial]:
-    """The Betti table of h, read from or written to --cache-dir when one is given."""
-    if args.cache_dir:
-        return TableCache(Path(args.cache_dir)).table(h)
-    return betti_table(h)
 
 
 def cmd_analyze(args, out) -> int:
@@ -224,7 +227,7 @@ def cmd_analyze(args, out) -> int:
 def cmd_decompose(args, out) -> int:
     h = _parse_h(args.h)
     _guard(h.n, args.max_n)
-    dec = decompose_table(h, _betti_table(args, h))
+    dec = TableCache(Path(args.cache_dir)).decompose(h) if args.cache_dir else decompose(h)
     positivity = e_positivity_report(h, dec)
     if args.format == "csv":
         writer = csv.writer(out)
@@ -259,8 +262,10 @@ def cmd_betti(args, out) -> int:
     if args.nu is not None:
         nu = _parse_composition(args.nu, h.n)
         polys = {nu: poincare_polynomial(nu, h)}
+    elif args.cache_dir:
+        polys = TableCache(Path(args.cache_dir)).decompose(h).table
     else:
-        polys = _betti_table(args, h)
+        polys = decompose(h).table
     rows = []
     for nu, poly in polys.items():
         rows.append({"nu": list(nu), "h": list(h.values), "coeffs": list(poly.coeffs)})
@@ -350,10 +355,10 @@ class _Encoded(NamedTuple):
 
 def _chunk_reports(chunk: list[HessenbergFunction], which: str) -> list[_Encoded]:
     """The reports of a chunk, JSON-encoded in the process that checks it. For
-    the checks that read every h's Betti table, the tables are built first, in
-    blocks of several h."""
+    the checks that read every h's decomposition, the decompositions are built
+    first, their Betti tables in blocks of several h."""
     if which in ("all", "oracles", "conj81"):
-        betti_tables(chunk)
+        decompositions(chunk)
     return [
         _Encoded(
             "    " + json.dumps(r.to_json_dict(), **_JSON_OPTIONS).replace("\n", "\n    "),

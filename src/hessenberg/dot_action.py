@@ -1,9 +1,10 @@
-"""Graded tabloid/Specht decomposition of the symmetric-group action on the
-cohomology of a regular semisimple Hessenberg variety, with independent oracles."""
+"""Graded tabloid/Specht decomposition of the symmetric-group action on the cohomology of
+a regular semisimple Hessenberg variety, memoised per h with the Betti table it is solved
+from (decompositions), and independent oracles."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
 from types import MappingProxyType
@@ -28,13 +29,15 @@ CHROMATIC_MAX_N = 6  # largest n for the brute-force coloring walk; verify skips
 
 @dataclass(frozen=True)
 class GradedRepDecomposition:
-    """Integer coefficients c (tabloid basis) and d = K c (Specht basis) per degree."""
+    """Integer coefficients c (tabloid basis) and d = K c (Specht basis) per degree,
+    and the Betti table they were solved from, which equality leaves out."""
 
     h: HessenbergFunction
     order: PartitionOrder
     c: tuple[tuple[int, ...], ...]  # [degree][partition index]
     d: tuple[tuple[int, ...], ...]
     max_sinks: int
+    table: Mapping[Partition, GradedPolynomial] = field(compare=False, repr=False)
 
     @property
     def degrees(self) -> range:
@@ -65,29 +68,6 @@ class GradedRepDecomposition:
         }
 
 
-_betti_tables: dict[HessenbergFunction, Mapping[Partition, GradedPolynomial]] = {}
-
-
-def betti_tables(hs: Sequence[HessenbergFunction]) -> list[Mapping[Partition, GradedPolynomial]]:
-    """The Betti table of each h in hs, which share n, in input order.
-
-    Memoised per h: the tables not yet built are built together by one
-    poincare_tables call, in blocks of several h, and kept for the process.
-    """
-    missing = [h for h in dict.fromkeys(hs) if h not in _betti_tables]
-    if missing:
-        order = partitions_of(missing[0].n).partitions
-        for h, polys in zip(missing, poincare_tables(missing, order)):
-            _betti_tables[h] = MappingProxyType(dict(zip(order, polys)))
-    return [_betti_tables[h] for h in hs]
-
-
-def betti_table(h: HessenbergFunction) -> Mapping[Partition, GradedPolynomial]:
-    """Poincaré polynomial of the regular Hessenberg variety for every nu of n:
-    betti_tables on h alone, so a table filled by a block is read, not rebuilt."""
-    return betti_tables([h])[0]
-
-
 def decompose_table(
     h: HessenbergFunction, table: Mapping[Partition, GradedPolynomial]
 ) -> GradedRepDecomposition:
@@ -102,13 +82,27 @@ def decompose_table(
         if len(coeffs) != size:
             raise SizeMismatch(f"P_{nu} of h={h} has {len(coeffs)} coefficients, not {size}")
     c, d = solve_fixed_space_system(h.n, list(zip(*columns)))
-    return GradedRepDecomposition(h, order, c, d, max_sink_set_size(build_graph(h)))
+    return GradedRepDecomposition(h, order, c, d, max_sink_set_size(build_graph(h)), table)
 
 
-@lru_cache(maxsize=None)
+_decompositions: dict[HessenbergFunction, GradedRepDecomposition] = {}
+
+
+def decompositions(hs: Sequence[HessenbergFunction]) -> list[GradedRepDecomposition]:
+    """The graded decomposition of each h in hs, which share n, in input order, memoised
+    per h for the process: the Betti tables of the h not yet seen come from one
+    poincare_tables call, in blocks of several h, and each is kept read-only as .table."""
+    missing = [h for h in dict.fromkeys(hs) if h not in _decompositions]
+    if missing:
+        order = partitions_of(missing[0].n).partitions
+        for h, polys in zip(missing, poincare_tables(missing, order)):
+            _decompositions[h] = decompose_table(h, MappingProxyType(dict(zip(order, polys))))
+    return [_decompositions[h] for h in hs]
+
+
 def decompose(h: HessenbergFunction) -> GradedRepDecomposition:
-    """The graded decomposition of h from its Betti table, memoised per h."""
-    return decompose_table(h, betti_table(h))
+    """The graded decomposition of h: decompositions on h alone, read from the memo."""
+    return decompositions([h])[0]
 
 
 def _times_block(poly: list[int], width: int) -> list[int]:

@@ -18,12 +18,11 @@ from .betti import (
     perm_inverse,
     satisfies_hessenberg_condition,
 )
-from .dot_action import GradedRepDecomposition, betti_table, decompose, orientation_histogram
+from .dot_action import GradedRepDecomposition, decompose, orientation_histogram
 from .orientations import (
     SinkSet,
     build_graph,
     degree_of,
-    max_sink_set_size,
     relabeling,
     restrict,
     sink_sets,
@@ -307,8 +306,8 @@ def check_nilpotent_poincare_recursion(h: HessenbergFunction) -> CheckReport:
     polynomials of the h_T, coefficient-wise (abelian h)."""
     _require_abelian(h, "the recursion")
     n = h.n
-    sub = _sink_set_sum(_restrictions(h, 2), lambda h_t: betti_table(h_t)[(n - 2,)].coeffs)
-    lhs, rhs = betti_table(h)[(n,)], _one_sink_polynomial(h) + sub
+    sub = _sink_set_sum(_restrictions(h, 2), lambda h_t: decompose(h_t).table[(n - 2,)].coeffs)
+    lhs, rhs = decompose(h).table[(n,)], _one_sink_polynomial(h) + sub
     return _polynomial_report("nilpotent_poincare_recursion", {"h": list(h.values)}, lhs, rhs)
 
 
@@ -322,8 +321,8 @@ def check_regular_poincare_recursion(
     if len(nu) != 2 or nu[0] < nu[1] or nu[1] < 1 or sum(nu) != n:
         raise ValueError(f"nu={nu} is not a two-part partition of {n}")
     mu = _less_first_column(tuple(nu))
-    sub = _sink_set_sum(_restrictions(h, 2), lambda h_t: betti_table(h_t)[mu].coeffs)
-    lhs, rhs = betti_table(h)[tuple(nu)], betti_table(h)[(n,)] + sub
+    sub = _sink_set_sum(_restrictions(h, 2), lambda h_t: decompose(h_t).table[mu].coeffs)
+    lhs, rhs = decompose(h).table[tuple(nu)], decompose(h).table[(n,)] + sub
     params = {"h": list(h.values), "nu": list(nu)}
     return _polynomial_report("regular_poincare_recursion", params, lhs, rhs)
 
@@ -337,7 +336,7 @@ def check_maximal_sink_conjecture(h: HessenbergFunction) -> CheckReport:
     if h.n < 2:
         raise ValueError("the conjecture checker needs n >= 2")
     dec = decompose(h)
-    m = max_sink_set_size(build_graph(h))
+    m = dec.max_sinks
     restrictions = _restrictions(h, m)
     rhs = _first_column_sums(restrictions, [lam for lam in dec.order.partitions if len(lam) == m])
     cells = [(lam, i) for lam in rhs for i in dec.degrees]

@@ -235,8 +235,9 @@ def count_ph_tableaux(h: HessenbergFunction, shape: Partition) -> int:
 
 def ph_tableaux_counts(h: HessenbergFunction) -> Mapping[Partition, int]:
     """Number of P_h-tableaux of every shape that has one, by one pass of the
-    row DP _tableaux_by_shape, whose memo is shared by every h."""
-    return MappingProxyType(_tableaux_by_shape(bytes(h.values), b"\x01" * h.n))
+    row DP _tableaux_by_shape, whose memo is shared by every h. The top state
+    (h, 1^n) holds all of h, so no other h reads it: it runs unmemoised."""
+    return MappingProxyType(_tableaux_by_shape.__wrapped__(bytes(h.values), b"\x01" * h.n))
 
 
 @lru_cache(maxsize=None)

@@ -19,13 +19,12 @@ from hessenberg.betti import (
     perm_compose,
     perm_inverse,
     poincare_polynomial,
-    poincare_polynomials,
     poincare_tables,
     satisfies_hessenberg_condition,
     shortest_coset_decompose,
     shortest_coset_representatives,
 )
-from hessenberg.dot_action import betti_table
+from hessenberg.dot_action import decompose
 from hessenberg.partitions import partitions_of
 from hessenberg.roots import (
     enumerate_hessenberg_functions,
@@ -133,7 +132,7 @@ def hessenberg_and_compositions(draw):
 def test_poincare_polynomials_match_reference_in_input_order(case):
     h, compositions = case
     reference = {nu: poincare_polynomial_reference(nu, h) for nu in set(compositions)}
-    assert poincare_polynomials(h, compositions) == [reference[nu] for nu in compositions]
+    assert poincare_tables([h], compositions)[0] == [reference[nu] for nu in compositions]
 
 
 @st.composite
@@ -154,7 +153,7 @@ def blocks_of_h(draw):
 @given(blocks_of_h())
 def test_poincare_tables_equal_per_h_calls(case):
     hs, compositions, cells = case
-    per_h = [poincare_polynomials(h, compositions) for h in hs]
+    per_h = [poincare_tables([h], compositions)[0] for h in hs]
     original = betti.POINCARE_BLOCK_CELLS
     betti.POINCARE_BLOCK_CELLS = cells  # restored below; hypothesis reuses the module
     try:
@@ -191,18 +190,18 @@ def test_poincare_polynomials_at_n10_match_closed_forms():
     n = 10
     order = partitions_of(n).partitions
     # the full flag variety for every nu: Mahonian numbers
-    full = poincare_polynomials(validate_hessenberg([n] * n), order)
+    full = poincare_tables([validate_hessenberg([n] * n)], order)[0]
     assert [poly.normalized() for poly in full] == [tuple(mahonian(n))] * len(order)
     # the Peterson variety: binomial Betti numbers; the semisimple type: all of S_n
     peterson = validate_hessenberg(list(range(2, n + 1)) + [n])
-    nilpotent, semisimple = poincare_polynomials(peterson, [(n,), (1,) * n])
+    nilpotent, semisimple = poincare_tables([peterson], [(n,), (1,) * n])[0]
     assert nilpotent.coeffs == tuple(comb(n - 1, i) for i in range(n))
     assert semisimple.total() == factorial(n)
 
 
 def _table_digest(hs):
     """sha256 of the coefficient tuples of the Betti table of each h, in order."""
-    tables = [[poly.coeffs for poly in betti_table(h).values()] for h in hs]
+    tables = [[poly.coeffs for poly in decompose(h).table.values()] for h in hs]
     return hashlib.sha256(repr(tables).encode()).hexdigest()
 
 
@@ -276,7 +275,7 @@ def test_stored_dp_counts_fit_int32_up_to_the_engine_bound():
 
 def test_poincare_at_the_engine_bound():
     n = MAX_POINCARE_N
-    full = poincare_polynomials(validate_hessenberg([n] * n), [(1,) * n, (n,)])
+    full = poincare_tables([validate_hessenberg([n] * n)], [(1,) * n, (n,)])[0]
     assert [poly.coeffs for poly in full] == [tuple(mahonian(n))] * 2
     # every Mahonian coefficient fits in int32, but with h(i) = i (no negative
     # roots) all n! permutations land in degree 0, so the last layer's sum does not

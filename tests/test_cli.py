@@ -23,7 +23,7 @@ from hessenberg.cli import (
     TableCache,
     main,
 )
-from hessenberg.dot_action import betti_table, decompose
+from hessenberg.dot_action import decompose
 from hessenberg.reports import CheckReport
 from hessenberg.roots import (
     HessenbergError,
@@ -206,8 +206,7 @@ def test_verify_chunk_builds_its_tables_in_one_call(monkeypatch):
         dot_action, "poincare_tables", lambda hs, order: calls.append(hs) or real(hs, order)
     )
     monkeypatch.setattr(cli, "_cpu_count", lambda: 1)
-    dot_action._betti_tables.clear()
-    dot_action.decompose.cache_clear()
+    monkeypatch.setattr(dot_action, "_decompositions", {})
     assert run_cli("verify", "5", "all")[0] == EXIT_OK
     # one call per chunk of 11 h with every h of the chunk; the h_T of smaller
     # n are built one by one as checks read them
@@ -516,13 +515,16 @@ def test_cache_reproduces_uncached(tmp_path):
 def test_cache_object_round_trip(tmp_path):
     cache = TableCache(tmp_path / "c")
     h = validate_hessenberg([3, 4, 5, 5, 5])
-    direct = betti_table(h)
+    direct = decompose(h)
     for _ in range(2):  # a miss that writes the entry, then a hit
-        table = cache.table(h)
-        assert list(table) == list(direct)
-        assert [p.coeffs for p in table.values()] == [p.coeffs for p in direct.values()]
+        dec = cache.decompose(h)
+        assert dec == direct
+        assert list(dec.table) == list(direct.table)
+        assert [p.coeffs for p in dec.table.values()] == [p.coeffs for p in direct.table.values()]
     payload = json.loads((tmp_path / "c" / "3,4,5,5,5.json").read_text())
-    assert payload == {"h": [3, 4, 5, 5, 5], "rows": [list(p.coeffs) for p in direct.values()]}
+    rows = [list(p.coeffs) for p in direct.table.values()]
+    digest = hashlib.sha256(json.dumps([[3, 4, 5, 5, 5], rows]).encode()).hexdigest()
+    assert payload == {"h": [3, 4, 5, 5, 5], "rows": rows, "sha256": digest}
 
 
 def test_cache_betti_nu_creates_no_file(tmp_path):
@@ -560,6 +562,14 @@ DAMAGE = {
         "malformed",
         lambda good: json.dumps({**good, "rows": [[1.0] + r[1:] for r in good["rows"]]}),
     ),
+    # well formed, but rows[0][0] is one too high: solved, it prints c_{(2,1),0} = -3
+    "2,3,3": (
+        "sha256",
+        lambda good: json.dumps(
+            {**good, "rows": [[r[0] + (i == 0)] + r[1:] for i, r in enumerate(good["rows"])]}
+        ),
+    ),
+    "3,3,3": ("sha256", lambda good: json.dumps({k: v for k, v in good.items() if k != "sha256"})),
 }
 
 

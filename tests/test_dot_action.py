@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 
 from hessenberg.betti import GradedPolynomial, poincare_polynomial, poincare_tables
+from hessenberg import dot_action
 from hessenberg.dot_action import (
-    betti_table,
     chromatic_check,
     decompose,
     decompose_table,
+    decompositions,
     e_positivity_report,
     gasharov_check,
     orientation_count_check,
@@ -53,12 +54,12 @@ def c_table(dec):
 
 def test_betti_table_values():
     h = validate_hessenberg([2, 3, 4, 4])
-    table = betti_table(h)
+    table = decompose(h).table
     assert table[(4,)].coeffs == (1, 3, 3, 1)
     assert table[(1, 1, 1, 1)].coeffs == (1, 11, 11, 1)
     for n in range(1, 6):
         for hh in all_h(n)[:: max(1, n - 2)]:
-            assert betti_table(hh)[(1,) * n].total() == factorial(n)
+            assert decompose(hh).table[(1,) * n].total() == factorial(n)
 
 
 def modular_triples(hs):
@@ -107,10 +108,23 @@ def test_modular_law(n, triples):
 @pytest.mark.parametrize("n", range(1, 8))
 def test_betti_table_matches_single_calls(n):
     for h in all_h(n):
-        table = betti_table(h)
+        table = decompose(h).table
         assert list(table) == list(partitions_of(n))
         for nu, poly in table.items():
             assert poly == poincare_polynomial(nu, h)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_decompositions_of_every_h_of_n_equal_per_h_solves(monkeypatch, n):
+    # from an empty memo, one call over every h of n; each record equals the solve
+    # of the engine's table for h alone, and keeps that table
+    monkeypatch.setattr(dot_action, "_decompositions", {})
+    hs = all_h(n)
+    order = partitions_of(n).partitions
+    for h, dec in zip(hs, decompositions(hs), strict=True):
+        table = dict(zip(order, poincare_tables([h], order)[0]))
+        assert dec == decompose_table(h, table)
+        assert dict(dec.table) == table and list(dec.table) == list(order)
 
 
 def test_decompose_printed_table_2344():
@@ -177,7 +191,7 @@ def test_decompose_reproduces_betti_vectors(n):
     rows = fixed_space_matrix(n).rows
     k_rows = kostka_matrix(n).rows
     for h in all_h(n):
-        table = betti_table(h)
+        table = decompose(h).table
         dec = decompose_table(h, table)
         assert dec == decompose(h)
         order = dec.order
@@ -195,11 +209,11 @@ def test_decompose_reproduces_betti_vectors(n):
 def test_decompose_table_rejects_wrong_length():
     # a Betti polynomial must hold |Phi_h^-| + 1 coefficients, trailing zeros too
     h = validate_hessenberg([2, 3, 3])
-    table = dict(betti_table(h))
+    table = dict(decompose(h).table)
     table[(3,)] = GradedPolynomial(table[(3,)].coeffs[:-1])
     with pytest.raises(SizeMismatch):
         decompose_table(h, table)
-    table[(3,)] = GradedPolynomial(betti_table(h)[(3,)].coeffs + (0,))
+    table[(3,)] = GradedPolynomial(decompose(h).table[(3,)].coeffs + (0,))
     with pytest.raises(SizeMismatch):
         decompose_table(h, table)
 
@@ -417,12 +431,12 @@ def test_decompose_json_schema():
 def test_memoised_values_are_read_only(values):
     h = validate_hessenberg(values)
     with pytest.raises(TypeError):
-        betti_table(h)[(h.n,)] = GradedPolynomial((0,))
+        decompose(h).table[(h.n,)] = GradedPolynomial((0,))
     with pytest.raises(TypeError):
         orientation_histogram(h)[(1, 0)] = 0
     with pytest.raises(AttributeError):
         decompose(h).c = ()
-    assert betti_table(h) is betti_table(h) and decompose(h) is decompose(h)
+    assert decompose(h) is decompose(h)
     assert orientation_histogram(h) is orientation_histogram(h)
 
 

@@ -332,14 +332,9 @@ def perturbed_h_t(monkeypatch):
             for h, polys in zip(hs, poincare_tables(hs, compositions))
         ]
 
-    def clear_memos():
-        dot_action._betti_tables.clear()
-        dot_action.decompose.cache_clear()
-
-    clear_memos()
+    # an empty memo for the test; the one restored after it never saw the perturbed values
+    monkeypatch.setattr(dot_action, "_decompositions", {})
     monkeypatch.setattr(dot_action, "poincare_tables", perturbed)
-    yield
-    clear_memos()  # keep the perturbed values out of later tests
 
 
 def test_two_part_induction_failure_certificate(perturbed_h_t):

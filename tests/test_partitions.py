@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hessenberg import partitions
-from hessenberg.betti import poincare_polynomials
+from hessenberg.betti import poincare_tables
 from hessenberg.partitions import (
     IntegerMatrix,
     NonIntegralSolution,
@@ -270,7 +270,7 @@ def test_fixed_space_matrix_is_the_python_triple_sum(n):
 def test_solve_of_every_betti_table_matches_reference(n):
     order = partitions_of(n).partitions
     for h in enumerate_hessenberg_functions(n):
-        rows = list(zip(*(p.coeffs for p in poincare_polynomials(h, order))))
+        rows = list(zip(*(p.coeffs for p in poincare_tables([h], order)[0])))
         assert solve_fixed_space_system(n, rows) == solve_fixed_space_reference(n, rows)
 
 
@@ -362,6 +362,13 @@ def test_ph_tableaux_memo_is_shared_safely(data):
         partitions._tableaux_by_shape.cache_clear()
         fresh.append(count_ph_tableaux(h, shape))
     assert warm == fresh
+
+
+def test_ph_tableaux_top_state_is_not_memoised():
+    # the state (h, 1^n) holds all of h, so no other h reads it; h = (1) has no state below
+    partitions._tableaux_by_shape.cache_clear()
+    assert ph_tableaux_counts(validate_hessenberg([1])) == {(1,): 1}
+    assert partitions._tableaux_by_shape.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("n", range(1, 7))
