@@ -4,8 +4,8 @@ from math import factorial
 import pytest
 from hypothesis import given, settings
 
-from hessenberg.betti import GradedPolynomial, poincare_polynomial, poincare_tables
 from hessenberg import dot_action
+from hessenberg.betti import GradedPolynomial, poincare_polynomial, poincare_tables
 from hessenberg.dot_action import (
     chromatic_check,
     decompose,
