@@ -1,11 +1,12 @@
 """Command-line front end: analyze, decompose, betti, orientations, verify, enumerate.
 
-Exit codes: 0 success; 1 usage error, invalid input or unusable --cache-dir;
-2 size guard (n above --max-n, or above the Poincaré engine's bound for
-decompose, betti and verify); 3 theorem-check failure. Errors print one line to stderr.
-Conjecture findings are reported but never fail the exit code; a closed stdout ends the
-run silently by SIGPIPE. `verify n` runs its sweep as chunks of h on one forked worker per
-CPU and prints the reports in sweep order. --cache-dir keeps one checksummed Betti table per h.
+Exit codes: 0 success; 1 usage error, invalid input, unusable --cache-dir or a verify
+worker that ended without reports; 2 size guard (n above --max-n, or above the Poincaré
+engine's bound for decompose, betti and verify); 3 theorem-check failure. Errors print one
+line to stderr. Conjecture findings are reported but never fail the exit code; a closed
+stdout ends the run silently by SIGPIPE. `verify n` checks its sweep as chunks of h, which
+this process and one forked child per further CPU take from a pipe, and prints the reports
+in sweep order. --cache-dir keeps one checksummed Betti table per h.
 
 As a library, main(argv, out) may be called many times in one process: the parser is
 built on the first call and reused by every later one.
@@ -17,13 +18,13 @@ import argparse
 import csv
 import json
 import os
+import pickle
 import signal
 import sys
 import tempfile
 from functools import lru_cache
-from itertools import repeat
 from pathlib import Path
-from typing import Any, NamedTuple, Optional, Sequence
+from typing import Any, NamedTuple, NoReturn, Optional, Sequence
 
 from .betti import GradedPolynomial, SizeGuard, poincare_polynomial, poincare_size_guard
 from .dot_action import (
@@ -379,23 +380,89 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
+# one chunk number in the queue pipe: far below PIPE_BUF, so each os.read takes a whole one.
+# The 4 chunks per worker fit a 64 KiB pipe, written before any worker reads, up to 4096 CPUs.
+_RECORD = 4
+
+
+def _take_chunks(
+    chunks: list[list[HessenbergFunction]], which: str, queue: int
+) -> dict[int, list[_Encoded]]:
+    """Check the chunks whose numbers this process reads from the queue pipe until it is empty."""
+    done = {}
+    while record := os.read(queue, _RECORD):
+        i = int.from_bytes(record, "little")
+        done[i] = _chunk_reports(chunks[i], which)
+    return done
+
+
+def _child(
+    chunks: list[list[HessenbergFunction]], which: str, queue: int, results: int
+) -> NoReturn:
+    """A forked worker: send the parent `({chunk number: reports}, None)`, or `(exception,
+    its traceback text)`, through the results pipe and end without returning to the caller."""
+    status = 1
+    try:
+        try:
+            payload = pickle.dumps((_take_chunks(chunks, which, queue), None))
+        except BaseException as exc:
+            import traceback
+
+            text = traceback.format_exc()
+            try:
+                payload = pickle.dumps((exc, text))
+                pickle.loads(payload)
+            except Exception:  # the exception does not survive pickling
+                payload = pickle.dumps((RuntimeError(repr(exc)), text))
+        with open(results, "wb") as pipe:
+            pipe.write(payload)
+        status = 0
+    finally:
+        os._exit(status)
+
+
 def _sweep_reports(functions: list[HessenbergFunction], which: str) -> list[_Encoded]:
-    """Encoded reports of every h in sweep order, from contiguous chunks of the sweep run on
-    one forked worker per usable CPU. Fork keeps the imports and memos already built;
-    it is safe because the CLI starts no other thread."""
+    """Encoded reports of every h in sweep order, from contiguous chunks of the sweep checked
+    by this process and one forked child per further usable CPU. Each worker takes chunk
+    numbers from one queue pipe until it is empty, and each child pickles its reports back
+    through a pipe of its own. Fork keeps the imports and memos already built; it is safe
+    because the CLI starts no other thread."""
     workers = min(_cpu_count(), len(functions))
     # four chunks per worker let one that ends early take more; 1 to 16 timed alike on 2 CPUs
     size = -(-len(functions) // (workers * 4))
     chunks = [functions[i : i + size] for i in range(0, len(functions), size)]
-    if workers > 1:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        if "fork" in multiprocessing.get_all_start_methods():
-            context = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(workers, mp_context=context) as pool:
-                return [r for rs in pool.map(_chunk_reports, chunks, repeat(which)) for r in rs]
-    return [r for rs in map(_chunk_reports, chunks, repeat(which)) for r in rs]
+    if workers == 1 or not hasattr(os, "fork"):
+        return [r for chunk in chunks for r in _chunk_reports(chunk, which)]
+    queue, fill = os.pipe()
+    os.write(fill, b"".join(i.to_bytes(_RECORD, "little") for i in range(len(chunks))))
+    os.close(fill)
+    children = {}  # pid -> the read end of its results pipe
+    sent = {}  # pid -> (bytes it sent, exit code)
+    try:
+        for _ in range(workers - 1):
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(read_end)
+                _child(chunks, which, queue, write_end)
+            os.close(write_end)
+            children[pid] = read_end
+        done = _take_chunks(chunks, which, queue)
+    finally:
+        os.close(queue)
+        for pid, read_end in children.items():
+            with open(read_end, "rb") as pipe:
+                data = pipe.read()
+            sent[pid] = data, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    for pid, (data, code) in sent.items():
+        if code:  # a child exits 0 only once all it sends is written; -N: killed by signal N
+            error = f"verify worker {pid} ended without reports, exit status {code}"
+            raise ChildProcessError(error)
+        value, text = pickle.loads(data)
+        if text is not None:
+            raise value from RuntimeError(f"in verify worker {pid}:\n{text}")
+        done.update(value)
+    return [r for i in range(len(chunks)) for r in done[i]]
 
 
 def cmd_verify(args, out) -> int:
@@ -506,7 +573,7 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     except HessenbergError as exc:
         print(f"hessenberg: invalid input: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except OSError as exc:  # e.g. a --cache-dir that cannot be created or written
+    except OSError as exc:  # e.g. an unwritable --cache-dir, or a verify worker that died
         print(f"hessenberg: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

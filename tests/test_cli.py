@@ -2,8 +2,8 @@ import contextlib
 import hashlib
 import io
 import json
-import multiprocessing
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -179,12 +179,13 @@ SWEEPS = (
 
 @pytest.mark.parametrize("argv", SWEEPS, ids=" ".join)
 def test_verify_output_is_the_same_for_any_worker_count(monkeypatch, argv):
+    # 8 workers, more than a CI runner has CPUs, all take chunk numbers from one pipe
     outputs = []
-    for workers in (1, 2, 3):
+    for workers in (1, 2, 3, 8):
         monkeypatch.setattr(cli, "_cpu_count", lambda: workers)
         outputs.append(run_cli(*argv))
     assert outputs[0][0] == EXIT_OK
-    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+    assert outputs[1:] == [outputs[0]] * 3
 
 
 VERIFY_7_ALL_SHA256 = "cef194fd57210a7674c2883951ddad8b772ffaab1bcd0dfcb2c8c184fcfd609c"
@@ -305,7 +306,7 @@ def test_verify_error_in_a_worker_is_one_line(monkeypatch, capsys, error, code, 
         monkeypatch.setattr(cli, "_cpu_count", lambda: workers)
         assert run_cli("verify", "4") == (code, "")
         assert capsys.readouterr().err == line + "\n"
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
 
 
 def test_verify_other_error_in_a_worker_propagates(monkeypatch):
@@ -319,20 +320,91 @@ def test_verify_other_error_in_a_worker_propagates(monkeypatch):
         monkeypatch.setattr(cli, "_cpu_count", lambda: workers)
         with pytest.raises(ValueError, match=r"^no reports for \[3, 3, 3\]$"):
             run_cli("verify", "3")
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
+
+
+def assert_no_child_left():
+    """This process has no child, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def fail_in_a_child(monkeypatch, fail):
+    """Patch _chunk_reports so that a forked child calls fail() on the first chunk it takes,
+    while the caller's first chunk waits, without reaping it, until a child has ended. So on
+    two CPUs the child is sure to take a chunk before the caller has taken them all."""
+    caller = os.getpid()
+    real = cli._chunk_reports
+
+    def chunk_reports(chunk, which):
+        if os.getpid() != caller:
+            fail()
+        os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT)
+        return real(chunk, which)
+
+    monkeypatch.setattr(cli, "_chunk_reports", chunk_reports)
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 2)
+
+
+def test_verify_worker_that_ends_without_reports_is_one_line(monkeypatch, capsys):
+    fail_in_a_child(monkeypatch, lambda: os._exit(1))
+    assert run_cli("verify", "4") == (EXIT_USAGE, "")
+    line = r"hessenberg: verify worker \d+ ended without reports, exit status 1\n"
+    assert re.fullmatch(line, capsys.readouterr().err)
+    assert_no_child_left()
+
+
+def test_verify_worker_error_that_cannot_be_pickled_is_a_runtime_error(monkeypatch):
+    class LocalError(Exception):  # a local class cannot be pickled
+        pass
+
+    def fail():
+        raise LocalError("boom")
+
+    fail_in_a_child(monkeypatch, fail)
+    with pytest.raises(RuntimeError, match=r"^.*LocalError\('boom'\)$") as info:
+        run_cli("verify", "4")
+    # the child's traceback comes back as the cause
+    assert "in verify worker" in str(info.value.__cause__)
+    assert "LocalError: boom" in str(info.value.__cause__)
+    assert_no_child_left()
+
+
+def test_verify_on_three_cpus_forks_two_children(monkeypatch):
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 1)
+    expected = run_cli("verify", "5", "all")
+    forks = []
+    real_fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 3)
+    assert run_cli("verify", "5", "all") == expected
+    assert len(forks) == 2
+    assert_no_child_left()
+
+
+def test_verify_without_fork_runs_in_the_calling_process(monkeypatch):
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 1)
+    expected = run_cli("verify", "5", "all")
+    monkeypatch.delattr(os, "fork")
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 2)
+    assert run_cli("verify", "5", "all") == expected
 
 
 def test_importing_the_cli_loads_no_process_pool():
+    # nor does a verify sweep on two workers
     code = (
-        "import sys, hessenberg.cli; "
-        "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
+        "import io, sys, hessenberg.cli as cli; "
+        "loaded = lambda: sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)); "
+        "print(loaded()); "
+        "cli._cpu_count = lambda: 2; "
+        "print(cli.main(['verify', '4', 'all'], io.StringIO()), loaded())"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "[]\n"
+    assert done.stdout == "[]\n0 []\n"
 
 
 def test_parser_is_built_once_and_not_at_import():
