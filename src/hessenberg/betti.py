@@ -211,6 +211,35 @@ def _step_plan(
     return bits, tuple(steps)
 
 
+def poincare_slot(h: HessenbergFunction) -> tuple[int, int]:
+    """The pad and top of h's slot in a block of poincare_tables: its largest degree
+    step h(j) - j and |Phi_h^-|. A block's slots share the width of its largest pad
+    plus its largest top plus 1."""
+    return max(v - j for j, v in enumerate(h.values, 1)), negative_root_count(h)
+
+
+def poincare_blocks(hs: Sequence[HessenbergFunction]) -> list[list[HessenbergFunction]]:
+    """hs, which must share n, cut in input order into the blocks that poincare_tables
+    runs as one DP pass each: a block takes the next h while it holds at most
+    POINCARE_BLOCK_CELLS values (see MAX_POINCARE_N), or one h alone."""
+    hs = list(hs)
+    n = hs[0].n if hs else 0
+    if any(h.n != n for h in hs):
+        raise ValueError("the functions of one poincare_tables call must share n")
+    poincare_size_guard(n)
+    rows = _subset_dp_plan(n)[-1][n] if hs else 0  # DP rows of layers 0..n-1
+    blocks, pad, top = [], 0, 0
+    for h in hs:
+        slot_pad, slot_top = poincare_slot(h)
+        pad, top = max(pad, slot_pad), max(top, slot_top)
+        if blocks and rows * (len(blocks[-1]) + 1) * (pad + top + 1) <= POINCARE_BLOCK_CELLS:
+            blocks[-1].append(h)
+        else:
+            blocks.append([h])
+            pad, top = slot_pad, slot_top
+    return blocks
+
+
 def poincare_tables(
     hs: Sequence[HessenbergFunction], compositions: Sequence[Sequence[int]]
 ) -> list[list[GradedPolynomial]]:
@@ -219,37 +248,18 @@ def poincare_tables(
     over the w in S_n with w^{-1}(J_nu) inside Phi_h, with coefficients over degrees
     0..|Phi_h^-| and trailing zeros kept.
 
-    The h must share n. They run in blocks, in input order: a block takes the
-    next h while it holds at most POINCARE_BLOCK_CELLS values (see
-    MAX_POINCARE_N), or one h alone. A block is one DP pass, so every h of it
-    shares its numpy calls.
+    The h must share n. Each block of poincare_blocks(hs) is one DP pass, so
+    every h of it shares its numpy calls.
     """
-    hs = list(hs)
-    n = hs[0].n if hs else 0
-    if any(h.n != n for h in hs):
-        raise ValueError("the functions of one poincare_tables call must share n")
-    poincare_size_guard(n)
-    out, block, pads, tops = [], [], [], []
-    for h in hs:
-        pad, top = max(v - j for j, v in enumerate(h.values, 1)), negative_root_count(h)
-        width = max([pad, *pads]) + max([top, *tops]) + 1
-        if block and _subset_dp_plan(n)[-1][n] * (len(block) + 1) * width > POINCARE_BLOCK_CELLS:
-            out += _poincare_block(block, pads, tops, compositions)
-            block, pads, tops = [], [], []
-        block.append(h)
-        pads.append(pad)
-        tops.append(top)
-    return out + (_poincare_block(block, pads, tops, compositions) if block else [])
+    return [
+        polys for block in poincare_blocks(hs) for polys in _poincare_block(block, compositions)
+    ]
 
 
 def _poincare_block(
-    hs: list[HessenbergFunction],
-    pads: list[int],
-    tops: list[int],
-    compositions: Sequence[Sequence[int]],
+    hs: list[HessenbergFunction], compositions: Sequence[Sequence[int]]
 ) -> list[list[GradedPolynomial]]:
-    """The Poincaré polynomials of every h in hs, which share n, by one DP pass;
-    pads and tops hold each h's largest degree step and |Phi_h^-|.
+    """The Poincaré polynomials of every h in hs, which share n, by one DP pass.
 
     The sum is a DP that places the values 1..n in increasing order. Its
     state is the set S of filled positions and the position r of the last
@@ -282,6 +292,7 @@ def _poincare_block(
     a stored slot or a summed one, checked per h with a mask.
     """
     n, size = hs[0].n, len(hs)
+    pads, tops = zip(*map(poincare_slot, hs))
     bits, steps = _step_plan(n, tuple(map(tuple, compositions)))
     t, q, k, row, stride, first_pair, layer_rows = _subset_dp_plan(n)
     hv = np.array([h.values for h in hs], dtype=np.int64)

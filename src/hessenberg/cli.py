@@ -39,6 +39,7 @@ from .dot_action import (
     orientation_count_check,
 )
 from .induction import (
+    _restrictions,
     check_maximal_sink_conjecture,
     check_nilpotent_poincare_recursion,
     check_regular_poincare_recursion,
@@ -71,6 +72,7 @@ EXIT_SIZE_GUARD = 2
 EXIT_CHECK_FAILED = 3
 
 WHICH_CHOICES = ("all", "thm61", "prop72", "prop73", "conj81", "oracles")
+_SK2_SUITES = ("all", "thm61", "prop72", "prop73")  # the suites of abelian h that read SK_2
 
 
 class _Parser(argparse.ArgumentParser):
@@ -323,14 +325,14 @@ def cmd_enumerate(args, out) -> int:
 def _reports_for(h: HessenbergFunction, which: str) -> list[CheckReport]:
     n = h.n
     reports: list[CheckReport] = []
-    abelian = is_abelian(h)
-    if which in ("all", "thm61") and abelian and n >= 3:
-        reports.append(check_two_part_induction(h))
-    if which in ("all", "prop72") and abelian and n >= 3:
-        reports.append(check_nilpotent_poincare_recursion(h))
-    if which in ("all", "prop73") and abelian and n >= 3:
-        for nu2 in range(1, n // 2 + 1):
-            reports.append(check_regular_poincare_recursion(h, (n - nu2, nu2)))
+    if which in _SK2_SUITES and n >= 3 and is_abelian(h):
+        if which in ("all", "thm61"):
+            reports.append(check_two_part_induction(h))
+        if which in ("all", "prop72"):
+            reports.append(check_nilpotent_poincare_recursion(h))
+        if which in ("all", "prop73"):
+            for nu2 in range(1, n // 2 + 1):
+                reports.append(check_regular_poincare_recursion(h, (n - nu2, nu2)))
     if which in ("all", "conj81") and n >= 2:
         reports.append(check_maximal_sink_conjecture(h))
     if which in ("all", "oracles"):
@@ -354,23 +356,38 @@ class _Encoded(NamedTuple):
     conjecture: bool
 
 
+# h per group of _chunk_reports: each reads SK_k for at most two k, so a group's
+# restrictions and abelian tests fit the 8-entry memos of _restrictions and is_abelian
+_GROUP = 4
+
+
 def _chunk_reports(chunk: list[HessenbergFunction], which: str) -> list[_Encoded]:
     """The reports of a chunk, JSON-encoded in the process that checks it. For
     the checks that read every h's decomposition, the decompositions are built
-    first, their Betti tables in blocks of several h."""
+    first, their Betti tables in blocks of several h. Then the chunk is checked
+    in groups of _GROUP h: the decompositions of every h_T that a group's checks
+    read are built by one decompositions call, before the group's reports."""
     if which in ("all", "oracles", "conj81"):
         decompositions(chunk)
-    return [
-        _Encoded(
-            "    " + json.dumps(r.to_json_dict(), **_JSON_OPTIONS).replace("\n", "\n    "),
-            r.name,
-            r.params.get("h"),
-            r.passed,
-            r.conjecture,
-        )
-        for h in chunk
-        for r in _reports_for(h, which)
-    ]
+    encoded = []
+    for start in range(0, len(chunk), _GROUP):
+        group = chunk[start : start + _GROUP]
+        layers = [(h, 2) for h in group if which in _SK2_SUITES and h.n >= 3 and is_abelian(h)]
+        if which in ("all", "conj81"):
+            layers += [(h, decompose(h).max_sinks) for h in group if h.n >= 2]
+        decompositions([h_t for layer in layers for _, h_t in _restrictions(*layer) if h_t])
+        encoded += [
+            _Encoded(
+                "    " + json.dumps(r.to_json_dict(), **_JSON_OPTIONS).replace("\n", "\n    "),
+                r.name,
+                r.params.get("h"),
+                r.passed,
+                r.conjecture,
+            )
+            for h in group
+            for r in _reports_for(h, which)
+        ]
+    return encoded
 
 
 def _cpu_count() -> int:

@@ -10,7 +10,7 @@ from math import comb
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
-from .betti import GradedPolynomial, poincare_tables
+from .betti import GradedPolynomial, poincare_blocks, poincare_slot, poincare_tables
 from .orientations import build_graph, max_sink_set_size
 from .partitions import (
     Partition,
@@ -68,35 +68,60 @@ class GradedRepDecomposition:
         }
 
 
+def decompose_tables(
+    hs: Sequence[HessenbergFunction], tables: Sequence[Mapping[Partition, GradedPolynomial]]
+) -> list[GradedRepDecomposition]:
+    """Per h in hs, which share n, with its Betti table: solve N c_i = (Betti vector at
+    degree i) for every degree, with d_i = K c_i, in one solve over the stacked degrees
+    of every h.
+
+    Every polynomial in the table of h must hold exactly |Phi_h^-| + 1 coefficients.
+    """
+    order = partitions_of(hs[0].n)
+    rows, sizes = [], []
+    for h, table in zip(hs, tables, strict=True):
+        size = negative_root_count(h) + 1
+        columns = [table[nu].coeffs for nu in order]
+        for nu, coeffs in zip(order, columns):
+            if len(coeffs) != size:
+                raise SizeMismatch(f"P_{nu} of h={h} has {len(coeffs)} coefficients, not {size}")
+        sizes.append(size)
+        rows += zip(*columns)
+    c, d = solve_fixed_space_system(order.n, rows)
+    out, start = [], 0
+    for h, table, size in zip(hs, tables, sizes):
+        end = start + size
+        sinks = max_sink_set_size(build_graph(h))
+        out.append(GradedRepDecomposition(h, order, c[start:end], d[start:end], sinks, table))
+        start = end
+    return out
+
+
 def decompose_table(
     h: HessenbergFunction, table: Mapping[Partition, GradedPolynomial]
 ) -> GradedRepDecomposition:
-    """Solve N c_i = (Betti vector at degree i) for every degree, with d_i = K c_i.
-
-    Every polynomial in table must hold exactly |Phi_h^-| + 1 coefficients.
-    """
-    order = partitions_of(h.n)
-    size = negative_root_count(h) + 1
-    columns = [table[nu].coeffs for nu in order]
-    for nu, coeffs in zip(order, columns):
-        if len(coeffs) != size:
-            raise SizeMismatch(f"P_{nu} of h={h} has {len(coeffs)} coefficients, not {size}")
-    c, d = solve_fixed_space_system(h.n, list(zip(*columns)))
-    return GradedRepDecomposition(h, order, c, d, max_sink_set_size(build_graph(h)), table)
+    """decompose_tables for h alone."""
+    return decompose_tables([h], [table])[0]
 
 
 _decompositions: dict[HessenbergFunction, GradedRepDecomposition] = {}
 
 
 def decompositions(hs: Sequence[HessenbergFunction]) -> list[GradedRepDecomposition]:
-    """The graded decomposition of each h in hs, which share n, in input order, memoised
-    per h for the process: the Betti tables of the h not yet seen come from one
-    poincare_tables call, in blocks of several h, and each is kept read-only as .table."""
-    missing = [h for h in dict.fromkeys(hs) if h not in _decompositions]
-    if missing:
-        order = partitions_of(missing[0].n).partitions
-        for h, polys in zip(missing, poincare_tables(missing, order)):
-            _decompositions[h] = decompose_table(h, MappingProxyType(dict(zip(order, polys))))
+    """The graded decomposition of each h in hs, in input order, memoised per h for the
+    process. The h not yet seen are built per n, taken in order of slot width (see
+    poincare_slot) and cut into engine blocks: each block's Betti tables come from one
+    poincare_tables pass and are solved by one decompose_tables call, and each table is
+    kept read-only as .table. The h of one block are all that is stacked at a time."""
+    by_n: dict[int, list[HessenbergFunction]] = {}
+    for h in dict.fromkeys(hs):
+        if h not in _decompositions:
+            by_n.setdefault(h.n, []).append(h)
+    for n, missing in by_n.items():
+        order = partitions_of(n).partitions
+        for block in poincare_blocks(sorted(missing, key=lambda h: sum(poincare_slot(h)))):
+            tables = [MappingProxyType(dict(zip(order, p))) for p in poincare_tables(block, order)]
+            _decompositions.update(zip(block, decompose_tables(block, tables)))
     return [_decompositions[h] for h in hs]
 
 

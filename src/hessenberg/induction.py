@@ -210,7 +210,9 @@ def _require_abelian(h: HessenbergFunction, what: str) -> None:
         raise ValueError(f"h={h} is not abelian")
 
 
-@lru_cache(maxsize=8)  # the few k one h's checks read, never a whole sweep's worth
+# the SK_k of the last few h, never a sweep's worth: verify reads them for a group of
+# 4 h (at most two k each) before it checks the group, whose checks read them again
+@lru_cache(maxsize=8)
 def _restrictions(h: HessenbergFunction, k: int) -> Restrictions:
     """(T, h_T) for every T in SK_k; h_T is None when T holds every vertex."""
     return tuple(

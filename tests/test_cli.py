@@ -189,6 +189,9 @@ def test_verify_output_is_the_same_for_any_worker_count(monkeypatch, argv):
 
 
 VERIFY_7_ALL_SHA256 = "cef194fd57210a7674c2883951ddad8b772ffaab1bcd0dfcb2c8c184fcfd609c"
+# --max-n 8 verify 8 conj81 reads the decompositions of h_T up to n = 7; the sweep of
+# verify 7 all reads them up to n = 6 only
+VERIFY_8_CONJ81_SHA256 = "0b6de8a67907e0770db2317832bfdc9468c23652da29003c5f1b043da48de096"
 
 
 @pytest.mark.parametrize("workers", (1, 2))
@@ -200,21 +203,83 @@ def test_verify_7_all_output_is_pinned(monkeypatch, workers):
     assert hashlib.sha256(text.encode()).hexdigest() == VERIFY_7_ALL_SHA256
 
 
+@pytest.mark.parametrize("workers", (1, 2))
+def test_verify_8_conj81_output_is_pinned(monkeypatch, workers):
+    # the command of perfbench's conj8 workload, over every h at n = 8
+    monkeypatch.setattr(cli, "_cpu_count", lambda: workers)
+    code, text = run_cli("--max-n", "8", "verify", "8", "conj81")
+    assert code == EXIT_OK
+    assert hashlib.sha256(text.encode()).hexdigest() == VERIFY_8_CONJ81_SHA256
+
+
 def test_verify_chunk_builds_its_tables_in_one_call(monkeypatch):
+    # engine calls as lists of h, with a marker for the start ("in") and end ("out")
+    # of each decompositions call that cli makes: one per chunk, then one per group
     calls = []
-    real = dot_action.poincare_tables
+    engine, prefetch = dot_action.poincare_tables, cli.decompositions
     monkeypatch.setattr(
-        dot_action, "poincare_tables", lambda hs, order: calls.append(hs) or real(hs, order)
+        dot_action, "poincare_tables", lambda hs, order: calls.append(hs) or engine(hs, order)
     )
+
+    def marked(hs):
+        calls.append("in")
+        built = prefetch(hs)
+        calls.append("out")
+        return built
+
+    monkeypatch.setattr(cli, "decompositions", marked)
     monkeypatch.setattr(cli, "_cpu_count", lambda: 1)
     monkeypatch.setattr(dot_action, "_decompositions", {})
     assert run_cli("verify", "5", "all")[0] == EXIT_OK
-    # one call per chunk of 11 h with every h of the chunk; the h_T of smaller
-    # n are built one by one as checks read them
     functions = list(enumerate_hessenberg_functions(5))
     chunks = [functions[i : i + 11] for i in range(0, 42, 11)]
-    assert [hs for hs in calls if hs[0].n == 5] == chunks
-    assert all(len(hs) == 1 for hs in calls if hs[0].n < 5)
+    # one engine call per chunk of 11 h holds every h of the chunk
+    assert [set(hs) for hs in calls if hs not in ("in", "out") and hs[0].n == 5] == [
+        set(chunk) for chunk in chunks
+    ]
+    # every engine call is made by one of cli's decompositions calls, each of which
+    # makes at most one engine call per n: the checks themselves build nothing
+    text = "".join("[" if c == "in" else "]" if c == "out" else str(c[0].n) for c in calls)
+    groups = re.findall(r"\[(\d*)\]", text)
+    assert "".join(f"[{g}]" for g in groups) == text
+    assert all(len(set(g)) == len(g) for g in groups)
+    assert len(groups) == len(chunks) + sum(-(-len(chunk) // cli._GROUP) for chunk in chunks)
+    # no h reaches the engine twice
+    built = [h for hs in calls if hs not in ("in", "out") for h in hs]
+    assert len(built) == len(set(built))
+
+
+def test_verify_sweep_builds_each_fact_once(monkeypatch):
+    # the h_T prefetch of each group reads SK_k and the abelian test from their
+    # bounded memos; the checks read the same entries, so none is built again
+    sink_calls, sums = [], []
+    real_sink_sets, real_root_sum = orientations.sink_sets, roots.root_sum
+
+    def sink_sets(graph, k):
+        sink_calls.append((graph.h, k))
+        return real_sink_sets(graph, k)
+
+    for module in (orientations, induction, cli):
+        monkeypatch.setattr(module, "sink_sets", sink_sets)
+    monkeypatch.setattr(roots, "root_sum", lambda a, b: sums.append(1) or real_root_sum(a, b))
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 1)
+    induction._restrictions.cache_clear()
+    roots.is_abelian.cache_clear()
+    assert run_cli("verify", "6", "all")[0] == EXIT_OK
+    swept = len(sums)
+    functions = list(enumerate_hessenberg_functions(6))
+    read = {(h, decompose(h).max_sinks) for h in functions}
+    read |= {(h, 2) for h in functions if roots.is_abelian(h)}
+    assert sorted(sink_calls, key=repr) == sorted(read, key=repr)
+    # one abelian test per h: |I_h|^2 root sums for an abelian h, and for the
+    # others as many as the test makes before it finds a sum that is a root
+    expected = 0
+    for h in functions:
+        before = len(sums)
+        abelian = roots.is_abelian.__wrapped__(h)
+        assert not abelian or len(sums) - before == len(ideal_of(h)) ** 2
+        expected += len(sums) - before
+    assert swept == expected
 
 
 def _stub_reports(h, which):

@@ -1,4 +1,5 @@
 import dataclasses
+import random
 from math import factorial
 
 import pytest
@@ -10,6 +11,7 @@ from hessenberg.dot_action import (
     chromatic_check,
     decompose,
     decompose_table,
+    decompose_tables,
     decompositions,
     e_positivity_report,
     gasharov_check,
@@ -125,6 +127,31 @@ def test_decompositions_of_every_h_of_n_equal_per_h_solves(monkeypatch, n):
         table = dict(zip(order, poincare_tables([h], order)[0]))
         assert dec == decompose_table(h, table)
         assert dict(dec.table) == table and list(dec.table) == list(order)
+
+
+def test_decompositions_of_mixed_n_with_repeats_equal_per_h_decompose(monkeypatch):
+    # every h at n <= 6, a seeded third of them again, in a seeded shuffled order:
+    # one call, grouped by n and ordered by slot width inside it, gives each h what
+    # decompose gives it alone on a fresh memo
+    rng = random.Random(19)
+    hs = [h for n in range(1, 7) for h in all_h(n)]
+    hs += rng.sample(hs, len(hs) // 3)
+    rng.shuffle(hs)
+    monkeypatch.setattr(dot_action, "_decompositions", {})
+    batched = decompositions(hs)
+    for h, dec in zip(hs, batched, strict=True):
+        monkeypatch.setattr(dot_action, "_decompositions", {})
+        alone = decompose(h)
+        assert dec == alone and dict(dec.table) == dict(alone.table)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_stacked_solve_equals_per_h_solves(n):
+    # decompose_tables solves the degrees of every h of n in one stacked solve
+    hs = all_h(n)
+    order = partitions_of(n).partitions
+    tables = [dict(zip(order, polys)) for polys in poincare_tables(hs, order)]
+    assert decompose_tables(hs, tables) == [decompose_table(h, t) for h, t in zip(hs, tables)]
 
 
 def test_decompose_printed_table_2344():
