@@ -5,6 +5,7 @@ from .betti import (
     composition_simple_roots,
     conjugated_hessenberg,
     hessenberg_inversions,
+    poincare_arrays,
     poincare_polynomial,
     poincare_tables,
     satisfies_hessenberg_condition,

@@ -137,12 +137,14 @@ class GradedPolynomial:
 MAX_POINCARE_N = 13
 """Largest n the Poincaré engine accepts. A stored DP value counts bijections
 of at most n - 1 values, so it is at most (n - 1)! < 2^31 up to n = 13; the
-last layer, which can reach n!, is summed in int64 and never stored. One
-block of poincare_tables holds about (2^n + n 2^(n-1)) H W int32 values for
-H functions of width W (see POINCARE_BLOCK_CELLS), and one layer's gathered
-copy at a time. A block of one h = (n,...,n) with every partition raises the
-process peak by about 40 MB at n = 13, in 0.15 s on a 2-core VM, and by 16 MB
-at n = 12; each n doubles it or more."""
+last layer, which can reach n!, is summed in int64 and never stored; the
+int64 sums are what poincare_arrays returns. One block holds about
+(2^n + n 2^(n-1)) H W int32 values for H functions of width W (see
+POINCARE_BLOCK_CELLS), and one layer's gathered copy at a time; its pad
+check ORs the buffer down to one row per slot and copies none of it. A
+block of one h = (n,...,n) with every partition raises the process peak by
+about 40 MB at n = 13, in 0.05-0.15 s on a 2-core VM, and by 16 MB at
+n = 12; each n doubles it or more."""
 
 POINCARE_BLOCK_CELLS = 1 << 19
 """Most int32 DP values (2 MB) that poincare_tables puts in one block of
@@ -240,26 +242,37 @@ def poincare_blocks(hs: Sequence[HessenbergFunction]) -> list[list[HessenbergFun
     return blocks
 
 
-def poincare_tables(
+def poincare_arrays(
     hs: Sequence[HessenbergFunction], compositions: Sequence[Sequence[int]]
-) -> list[list[GradedPolynomial]]:
-    """Per h in hs, the Poincaré polynomial of the regular Hessenberg variety of Jordan
-    type nu for each nu in compositions, in input order: the sum of t^(2 |N^-(w) ∩ Phi_h^-|)
-    over the w in S_n with w^{-1}(J_nu) inside Phi_h, with coefficients over degrees
-    0..|Phi_h^-| and trailing zeros kept.
+) -> list[np.ndarray]:
+    """Per h in hs, the Poincaré polynomials of the regular Hessenberg varieties of Jordan
+    type nu for the nu in compositions, as one read-only int64 array [composition, degree
+    0..|Phi_h^-|] with trailing zeros kept: entry [nu, i] counts the w in S_n with
+    w^{-1}(J_nu) inside Phi_h and |N^-(w) ∩ Phi_h^-| = i.
 
     The h must share n. Each block of poincare_blocks(hs) is one DP pass, so
     every h of it shares its numpy calls.
     """
     return [
-        polys for block in poincare_blocks(hs) for polys in _poincare_block(block, compositions)
+        table for block in poincare_blocks(hs) for table in _poincare_block(block, compositions)
+    ]
+
+
+def poincare_tables(
+    hs: Sequence[HessenbergFunction], compositions: Sequence[Sequence[int]]
+) -> list[list[GradedPolynomial]]:
+    """poincare_arrays with each row wrapped as a GradedPolynomial, for one-off readers
+    (betti --nu, poincare_polynomial, tests); decompositions reads the arrays."""
+    return [
+        [GradedPolynomial(tuple(row)) for row in table.tolist()]
+        for table in poincare_arrays(hs, compositions)
     ]
 
 
 def _poincare_block(
     hs: list[HessenbergFunction], compositions: Sequence[Sequence[int]]
-) -> list[list[GradedPolynomial]]:
-    """The Poincaré polynomials of every h in hs, which share n, by one DP pass.
+) -> list[np.ndarray]:
+    """The poincare_arrays of every h in hs, which share n, by one DP pass.
 
     The sum is a DP that places the values 1..n in increasing order. Its
     state is the set S of filled positions and the position r of the last
@@ -289,7 +302,8 @@ def _poincare_block(
     degree 0. Those zeros stay zero, as a state's degree plus the step never
     exceeds |Phi_h^-|: each inversion counted is a distinct pair of Phi_h^-
     among the filled positions. A RuntimeError is raised if it does not, in
-    a stored slot or a summed one, checked per h with a mask.
+    a stored slot or a summed one: every stored row and every sum are ORed
+    together per slot, which is zero only where all of them are.
     """
     n, size = hs[0].n, len(hs)
     pads, tops = zip(*map(poincare_slot, hs))
@@ -321,18 +335,15 @@ def _poincare_block(
                 np.add(blocks[j], placed[j], out=blocks[j + 1])
         last = windows[cells[key[n - 1], first_pair[n - 1] * size :]].reshape(n, size, width)
         sums[key] = last.sum(axis=0, dtype=np.int64)
-    spill = np.arange(width) > tops[:, None]  # the degrees past |Phi_h^-|, per h
-    over = dp.reshape(-1, size, width)[:, spill].any(axis=0)
-    for rows in sums.values():
-        over |= rows[spill] != 0
+    seen = np.bitwise_or.reduce(dp.reshape(-1, size, width), axis=0)
+    seen = seen | np.bitwise_or.reduce(np.stack(list(sums.values())), axis=0)
+    over = np.where(np.arange(width) > tops[:, None], seen, 0).any(axis=1)
     if over.any():
-        h = hs[np.nonzero(spill)[0][over.argmax()]]
+        h = hs[over.argmax()]
         raise RuntimeError(f"a degree of the Poincaré DP for h={h.values} passed |Phi_h^-|")
-    tables = {key: rows.tolist() for key, rows in sums.items()}
-    return [
-        [GradedPolynomial(tuple(tables[key][x][: top + 1])) for key in bits]
-        for x, top in enumerate(tops.tolist())
-    ]
+    table = np.stack([sums[key] for key in bits], axis=1)  # [h, composition, degree]
+    table.flags.writeable = False
+    return [table[x, :, : top + 1] for x, top in enumerate(tops.tolist())]
 
 
 def poincare_polynomial(nu: Sequence[int], h: HessenbergFunction) -> GradedPolynomial:

@@ -26,7 +26,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Any, NamedTuple, NoReturn, Optional, Sequence
 
-from .betti import GradedPolynomial, SizeGuard, poincare_polynomial, poincare_size_guard
+from .betti import SizeGuard, poincare_polynomial, poincare_size_guard
 from .dot_action import (
     CHROMATIC_MAX_N,
     GradedRepDecomposition,
@@ -102,14 +102,14 @@ class TableCache:
         size = negative_root_count(h) + 1
         rows = self._read(path, list(h.values), len(order), size)
         if rows is not None:
-            return decompose_table(h, dict(zip(order, map(GradedPolynomial, rows))))
+            return decompose_table(h, rows)
         dec = decompose(h)
-        rows = [list(dec.table[nu].coeffs) for nu in order]
+        rows = [list(poly.coeffs) for poly in dec.table.values()]
         self._write(path, {"h": list(h.values), "rows": rows, "sha256": _digest(h.values, rows)})
         return dec
 
     @staticmethod
-    def _read(path: Path, h: list[int], count: int, size: int) -> Optional[list[tuple[int, ...]]]:
+    def _read(path: Path, h: list[int], count: int, size: int) -> Optional[list[list[int]]]:
         """The stored rows, or None for a missing or unusable entry."""
         try:
             payload = json.loads(path.read_text())
@@ -124,7 +124,7 @@ class TableCache:
             elif payload.get("sha256") != _digest(h, rows):
                 problem = "fails its sha256 digest"
             else:
-                return [tuple(row) for row in rows]
+                return rows
         except FileNotFoundError:
             return None
         except (OSError, ValueError, KeyError, TypeError) as exc:
@@ -232,13 +232,14 @@ def cmd_decompose(args, out) -> int:
     _guard(h.n, args.max_n)
     dec = TableCache(Path(args.cache_dir)).decompose(h) if args.cache_dir else decompose(h)
     positivity = e_positivity_report(h, dec)
+    c, d = dec.c.tolist(), dec.d.tolist()
     if args.format == "csv":
         writer = csv.writer(out)
         writer.writerow(["degree", "lambda", "c", "d"])
         for i in dec.degrees:
             for pi, lam in enumerate(dec.order.partitions):
-                if dec.c[i][pi] or dec.d[i][pi]:
-                    writer.writerow([i, _partition_key(lam), dec.c[i][pi], dec.d[i][pi]])
+                if c[i][pi] or d[i][pi]:
+                    writer.writerow([i, _partition_key(lam), c[i][pi], d[i][pi]])
         return EXIT_OK
     payload = dec.to_json_dict()
     payload["e_positive"] = positivity.passed
@@ -247,9 +248,9 @@ def cmd_decompose(args, out) -> int:
         out.write(f"h = {h}   m(Gamma_h) = {dec.max_sinks}\n")
         for i in dec.degrees:
             row = [
-                f"{dec.c[i][pi]}*M({_partition_key(lam)})"
+                f"{c[i][pi]}*M({_partition_key(lam)})"
                 for pi, lam in enumerate(dec.order.partitions)
-                if dec.c[i][pi]
+                if c[i][pi]
             ]
             if row:
                 out.write(f"H^{2 * i}: " + " + ".join(row) + "\n")
@@ -365,8 +366,9 @@ def _chunk_reports(chunk: list[HessenbergFunction], which: str) -> list[_Encoded
     """The reports of a chunk, JSON-encoded in the process that checks it. For
     the checks that read every h's decomposition, the decompositions are built
     first, their Betti tables in blocks of several h. Then the chunk is checked
-    in groups of _GROUP h: the decompositions of every h_T that a group's checks
-    read are built by one decompositions call, before the group's reports."""
+    in groups of _GROUP h: one decompositions call builds every h_T that a
+    group's checks read, and each h whose sink sets they read, before the
+    group's reports."""
     if which in ("all", "oracles", "conj81"):
         decompositions(chunk)
     encoded = []
@@ -375,7 +377,8 @@ def _chunk_reports(chunk: list[HessenbergFunction], which: str) -> list[_Encoded
         layers = [(h, 2) for h in group if which in _SK2_SUITES and h.n >= 3 and is_abelian(h)]
         if which in ("all", "conj81"):
             layers += [(h, decompose(h).max_sinks) for h in group if h.n >= 2]
-        decompositions([h_t for layer in layers for _, h_t in _restrictions(*layer) if h_t])
+        h_ts = [h_t for layer in layers for _, h_t in _restrictions(*layer) if h_t]
+        decompositions([h for h, _ in layers] + h_ts)
         encoded += [
             _Encoded(
                 "    " + json.dumps(r.to_json_dict(), **_JSON_OPTIONS).replace("\n", "\n    "),

@@ -1,22 +1,26 @@
 """Graded tabloid/Specht decomposition of the symmetric-group action on the cohomology of
-a regular semisimple Hessenberg variety, memoised per h with the Betti table it is solved
-from (decompositions), and independent oracles."""
+a regular semisimple Hessenberg variety, memoised per h as int64 arrays (decompositions),
+and independent oracles."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
-from .betti import GradedPolynomial, poincare_blocks, poincare_slot, poincare_tables
+import numpy as np
+
+from .betti import GradedPolynomial, poincare_arrays, poincare_blocks, poincare_slot
 from .orientations import build_graph, max_sink_set_size
 from .partitions import (
     Partition,
     PartitionOrder,
     SizeMismatch,
+    _int64_product,
     dual_partition,
+    fixed_space_matrix,
     partitions_of,
     ph_tableaux_counts,
     solve_fixed_space_system,
@@ -27,26 +31,48 @@ from .roots import HessenbergFunction, is_abelian, negative_root_count
 CHROMATIC_MAX_N = 6  # largest n for the brute-force coloring walk; verify skips it above
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GradedRepDecomposition:
-    """Integer coefficients c (tabloid basis) and d = K c (Specht basis) per degree,
-    and the Betti table they were solved from, which equality leaves out."""
+    """Integer coefficients c (tabloid basis) and d = K c (Specht basis) of h, as read-only
+    int64 arrays [degree, partition index]. Any integer sequences of rows may be given
+    for c and d; equality compares their values. The Betti table is not kept: table and
+    poincare read it as N c, which the solve that made c checked against the engine."""
 
     h: HessenbergFunction
     order: PartitionOrder
-    c: tuple[tuple[int, ...], ...]  # [degree][partition index]
-    d: tuple[tuple[int, ...], ...]
+    c: np.ndarray
+    d: np.ndarray
     max_sinks: int
-    table: Mapping[Partition, GradedPolynomial] = field(compare=False, repr=False)
+
+    def __post_init__(self):
+        for name in ("c", "d"):
+            rows = np.array(getattr(self, name), dtype=np.int64).reshape(-1, len(self.order))
+            rows.flags.writeable = False
+            object.__setattr__(self, name, rows)
+
+    def _values(self) -> tuple:
+        return self.h, self.order, self.max_sinks, self.c.tobytes(), self.d.tobytes()
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, GradedRepDecomposition) and self._values() == other._values()
 
     @property
     def degrees(self) -> range:
         return range(len(self.c))
 
-    def c_coeff(self, lam: Partition, i: int) -> int:
-        if i not in self.degrees:
-            return 0
-        return self.c[i][self.order.index(lam)]
+    @property
+    def table(self) -> Mapping[Partition, GradedPolynomial]:
+        """The Betti table, read-only: per nu in order, P_nu = N[nu] c over the degrees,
+        all of them from one int64 product."""
+        rows = _int64_product(fixed_space_matrix(self.order.n).array, self.c.T).tolist()
+        return MappingProxyType(
+            {nu: GradedPolynomial(tuple(row)) for nu, row in zip(self.order.partitions, rows)}
+        )
+
+    def poincare(self, nu: Partition) -> np.ndarray:
+        """P_nu as an int64 array over the degrees: c times column nu of N."""
+        i = self.order.index(nu)
+        return _int64_product(self.c, fixed_space_matrix(self.order.n).array[:, i : i + 1])[:, 0]
 
     def to_json_dict(self) -> dict:
         def table(rows):
@@ -64,42 +90,35 @@ class GradedRepDecomposition:
         return {
             "h": list(self.h.values),
             "m_gamma": self.max_sinks,
-            "coeffs": {"c": table(self.c), "d": table(self.d)},
+            "coeffs": {"c": table(self.c.tolist()), "d": table(self.d.tolist())},
         }
 
 
 def decompose_tables(
-    hs: Sequence[HessenbergFunction], tables: Sequence[Mapping[Partition, GradedPolynomial]]
+    hs: Sequence[HessenbergFunction], tables: Sequence
 ) -> list[GradedRepDecomposition]:
-    """Per h in hs, which share n, with its Betti table: solve N c_i = (Betti vector at
-    degree i) for every degree, with d_i = K c_i, in one solve over the stacked degrees
-    of every h.
-
-    Every polynomial in the table of h must hold exactly |Phi_h^-| + 1 coefficients.
-    """
+    """Per h in hs, which share n, with its Betti table as integer rows [partition in
+    partitions_of(n), degree 0..|Phi_h^-|], as poincare_arrays gives it: solve N c_i =
+    (Betti vector at degree i) for every degree, with d_i = K c_i, in one solve over
+    the stacked degrees of every h. A table of another shape raises SizeMismatch."""
     order = partitions_of(hs[0].n)
-    rows, sizes = [], []
+    stack = []
     for h, table in zip(hs, tables, strict=True):
-        size = negative_root_count(h) + 1
-        columns = [table[nu].coeffs for nu in order]
-        for nu, coeffs in zip(order, columns):
-            if len(coeffs) != size:
-                raise SizeMismatch(f"P_{nu} of h={h} has {len(coeffs)} coefficients, not {size}")
-        sizes.append(size)
-        rows += zip(*columns)
-    c, d = solve_fixed_space_system(order.n, rows)
+        shape = (len(order), negative_root_count(h) + 1)
+        if np.shape(table) != shape:
+            raise SizeMismatch(f"the Betti table of h={h} has shape {np.shape(table)}, not {shape}")
+        stack.append(np.asarray(table).T)
+    c, d = solve_fixed_space_system(order.n, np.concatenate(stack))
     out, start = [], 0
-    for h, table, size in zip(hs, tables, sizes):
-        end = start + size
+    for h, rows in zip(hs, stack):
+        end = start + len(rows)
         sinks = max_sink_set_size(build_graph(h))
-        out.append(GradedRepDecomposition(h, order, c[start:end], d[start:end], sinks, table))
+        out.append(GradedRepDecomposition(h, order, c[start:end], d[start:end], sinks))
         start = end
     return out
 
 
-def decompose_table(
-    h: HessenbergFunction, table: Mapping[Partition, GradedPolynomial]
-) -> GradedRepDecomposition:
+def decompose_table(h: HessenbergFunction, table) -> GradedRepDecomposition:
     """decompose_tables for h alone."""
     return decompose_tables([h], [table])[0]
 
@@ -111,8 +130,8 @@ def decompositions(hs: Sequence[HessenbergFunction]) -> list[GradedRepDecomposit
     """The graded decomposition of each h in hs, in input order, memoised per h for the
     process. The h not yet seen are built per n, taken in order of slot width (see
     poincare_slot) and cut into engine blocks: each block's Betti tables come from one
-    poincare_tables pass and are solved by one decompose_tables call, and each table is
-    kept read-only as .table. The h of one block are all that is stacked at a time."""
+    poincare_arrays pass as int64 arrays and go straight to one decompose_tables
+    call. The h of one block are all that is stacked at a time."""
     by_n: dict[int, list[HessenbergFunction]] = {}
     for h in dict.fromkeys(hs):
         if h not in _decompositions:
@@ -120,7 +139,7 @@ def decompositions(hs: Sequence[HessenbergFunction]) -> list[GradedRepDecomposit
     for n, missing in by_n.items():
         order = partitions_of(n).partitions
         for block in poincare_blocks(sorted(missing, key=lambda h: sum(poincare_slot(h)))):
-            tables = [MappingProxyType(dict(zip(order, p))) for p in poincare_tables(block, order)]
+            tables = poincare_arrays(block, order)
             _decompositions.update(zip(block, decompose_tables(block, tables)))
     return [_decompositions[h] for h in hs]
 
@@ -201,19 +220,15 @@ def orientation_histogram(h: HessenbergFunction) -> Mapping[tuple[int, int], int
 def orientation_count_check(h: HessenbergFunction, dec: GradedRepDecomposition) -> CheckReport:
     """Per (sink count k, ascent i): sum of c over k-part partitions equals the
     number of acyclic orientations with k sinks and ascent i."""
-    hist = orientation_histogram(h)
-    by_parts: list[list[int]] = [[] for _ in range(h.n + 1)]
-    for pi, lam in enumerate(dec.order.partitions):
-        by_parts[len(lam)].append(pi)
-    failures = []
-    for k in range(1, h.n + 1):
-        for i in dec.degrees:
-            expected = hist.get((k, i), 0)
-            actual = sum(dec.c[i][pi] for pi in by_parts[k])
-            if expected != actual:
-                failures.append(
-                    mismatch({"sinks": k, "degree": i}, expected, actual)
-                )
+    expected = np.zeros((len(dec.c), h.n), dtype=np.int64)
+    for (k, i), count in orientation_histogram(h).items():
+        expected[i, k - 1] = count
+    parts = np.array([[len(lam) == k for k in range(1, h.n + 1)] for lam in dec.order])
+    actual = dec.c @ parts  # [degree, k - 1]: c times a parts indicator
+    failures = [
+        mismatch({"sinks": k + 1, "degree": i}, int(expected[i, k]), int(actual[i, k]))
+        for k, i in np.argwhere(actual.T != expected.T).tolist()
+    ]
     return report_from_failures(
         "orientation_counts", {"h": list(h.values)}, failures
     )
@@ -224,8 +239,7 @@ def gasharov_check(h: HessenbergFunction, dec: GradedRepDecomposition) -> CheckR
     all read from one ph_tableaux_counts mapping."""
     counts = ph_tableaux_counts(h)
     failures = []
-    for pi, lam in enumerate(dec.order.partitions):
-        total = sum(dec.d[i][pi] for i in dec.degrees)
+    for lam, total in zip(dec.order.partitions, dec.d.sum(axis=0).tolist()):
         tableaux = counts.get(dual_partition(lam), 0)
         if total != tableaux:
             failures.append(mismatch({"lambda": list(lam)}, tableaux, total))
@@ -298,29 +312,23 @@ def chromatic_check(h: HessenbergFunction, dec: GradedRepDecomposition) -> Check
     if h.n > CHROMATIC_MAX_N:
         raise ValueError(f"chromatic oracle limited to n <= {CHROMATIC_MAX_N}")
     graph = build_graph(h)
-    order = dec.order
+    order = dec.order.partitions
+    matrices = np.array([[zero_one_matrix_count(lam, mu) for mu in order] for lam in order])
     failures = []
-    for mu in order.partitions:
+    for mu, predicted in zip(order, (dec.c @ matrices).T.tolist()):
         colorings = _proper_coloring_ascents(graph, mu)
-        for i in dec.degrees:
-            predicted = sum(
-                dec.c[i][pi] * zero_one_matrix_count(lam, mu)
-                for pi, lam in enumerate(order.partitions)
-            )
-            if colorings[i] != predicted:
-                failures.append(
-                    mismatch({"mu": list(mu), "degree": i}, colorings[i], predicted)
-                )
+        for i, value in enumerate(predicted):
+            if colorings[i] != value:
+                failures.append(mismatch({"mu": list(mu), "degree": i}, colorings[i], value))
     return report_from_failures("chromatic_monomials", {"h": list(h.values)}, failures)
 
 
 def e_positivity_report(h: HessenbergFunction, dec: GradedRepDecomposition) -> CheckReport:
     """List every negative tabloid coefficient; empty for abelian h by theorem."""
+    lams = dec.order.partitions
     negatives = [
-        mismatch({"lambda": list(lam), "degree": i}, "nonnegative", dec.c[i][pi])
-        for i in dec.degrees
-        for pi, lam in enumerate(dec.order.partitions)
-        if dec.c[i][pi] < 0
+        mismatch({"lambda": list(lams[pi]), "degree": i}, "nonnegative", int(dec.c[i, pi]))
+        for i, pi in np.argwhere(dec.c < 0).tolist()
     ]
     return report_from_failures(
         "e_positivity",

@@ -9,8 +9,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .betti import (
-    GradedPolynomial,
     Permutation,
     composition_simple_roots,
     inversion_pairs,
@@ -27,9 +28,9 @@ from .orientations import (
     restrict,
     sink_sets,
 )
-from .partitions import Partition
+from .partitions import Partition, partitions_of
 from .reports import CheckReport, mismatch, report_from_failures
-from .roots import HessenbergFunction, Root, ideal_of, is_abelian, roots_of
+from .roots import HessenbergFunction, Root, ideal_of, is_abelian, negative_root_count, roots_of
 
 Composition2 = tuple[int, int]
 
@@ -214,21 +215,20 @@ def _require_abelian(h: HessenbergFunction, what: str) -> None:
 # 4 h (at most two k each) before it checks the group, whose checks read them again
 @lru_cache(maxsize=8)
 def _restrictions(h: HessenbergFunction, k: int) -> Restrictions:
-    """(T, h_T) for every T in SK_k; h_T is None when T holds every vertex."""
-    return tuple(
-        (t, restrict(h, t) if k < h.n else None) for t in sink_sets(build_graph(h), k)
-    )
+    """(T, h_T) for every T in SK_k; h_T is None when T holds every vertex. The
+    graph of h is built once for the layer."""
+    graph = build_graph(h)
+    return tuple((t, restrict(graph, t) if k < h.n else None) for t in sink_sets(graph, k))
 
 
-def _sink_set_sum(restrictions: Restrictions, f) -> GradedPolynomial:
-    """Sum over the (T, h_T) of t^(2 deg T) f(h_T), for f(h_T) a coefficient sequence."""
-    total: list[int] = []
+def _sink_set_sum(restrictions: Restrictions, size: int, f) -> np.ndarray:
+    """Sum over the (T, h_T) of t^(2 deg T) f(h_T), for f(h_T) an int64 array of
+    coefficients, as an int64 array of the given size: one slice-add per T."""
+    total = np.zeros(size, dtype=np.int64)
     for t, h_t in restrictions:
         coeffs = f(h_t)
-        total.extend([0] * (t.degree + len(coeffs) - len(total)))
-        for i, x in enumerate(coeffs, t.degree):
-            total[i] += x
-    return GradedPolynomial(tuple(total))
+        total[t.degree : t.degree + len(coeffs)] += coeffs
+    return total
 
 
 def _sink_set_params(restrictions: Restrictions) -> list[dict]:
@@ -238,37 +238,42 @@ def _sink_set_params(restrictions: Restrictions) -> list[dict]:
     ]
 
 
-def _c_column(h_t: Optional[HessenbergFunction], mu: Partition) -> tuple[int, ...]:
-    """The tabloid coefficients of mu in decompose(h_T), one per degree. With
-    no h_T (an edgeless graph) the empty decomposition is 1 at degree 0."""
-    if h_t is None:
-        return (1,)
-    dec = decompose(h_t)
-    pi = dec.order.index(mu)
-    return tuple(row[pi] for row in dec.c)
-
-
 def _coefficient_failures(
-    dec: GradedRepDecomposition, cells, rhs: dict[Partition, GradedPolynomial]
+    dec: GradedRepDecomposition, columns: list[int], expected: np.ndarray, by_lambda=False
 ) -> list[dict]:
-    """A mismatch for each (lambda, i) in cells where c_{lambda,i} differs from
-    the coefficient of t^(2i) in rhs[lambda] (zero for a lambda not in rhs)."""
-    failures = []
-    for lam, i in cells:
-        expected = rhs[lam].coefficient(i) if lam in rhs else 0
-        actual = dec.c_coeff(lam, i)
-        if actual != expected:
-            failures.append(mismatch({"lambda": list(lam), "degree": i}, expected, actual))
-    return failures
+    """A mismatch for each (degree i, lambda) where c_{lambda,i} differs from
+    expected[i, j], for lambda the partition of column columns[j] of dec.c: in the
+    order of the degrees, then of columns, or the other way round with by_lambda."""
+    actual = dec.c[:, columns]
+    wrong = actual != expected
+    cells = np.argwhere(wrong.T)[:, ::-1] if by_lambda else np.argwhere(wrong)
+    return [
+        mismatch(
+            {"lambda": list(dec.order.partitions[columns[j]]), "degree": i},
+            int(expected[i, j]),
+            int(actual[i, j]),
+        )
+        for i, j in cells.tolist()
+    ]
 
 
-def _first_column_sums(restrictions: Restrictions, lams) -> dict[Partition, GradedPolynomial]:
-    """Per lambda, the sum over the (T, h_T) of t^(2 deg T) times the c-column
-    of lambda less its first column in decompose(h_T)."""
-    return {
-        lam: _sink_set_sum(restrictions, lambda h_t: _c_column(h_t, _less_first_column(lam)))
-        for lam in lams
-    }
+def _first_column_sums(restrictions: Restrictions, lams, size: int) -> np.ndarray:
+    """[degree, lambda in lams] for size degrees: the sum over the (T, h_T) of
+    t^(2 deg T) times the c-column of lambda less its first column in
+    decompose(h_T), one slice-add per T. Every T has one size, so the columns
+    are found once. With no h_T (an edgeless graph) the empty decomposition
+    is 1 at degree 0."""
+    total = np.zeros((size, len(lams)), dtype=np.int64)
+    columns = None
+    for t, h_t in restrictions:
+        if h_t is None:
+            total[t.degree] += 1
+            continue
+        if columns is None:
+            columns = [partitions_of(h_t.n).index(_less_first_column(lam)) for lam in lams]
+        c = decompose(h_t).c
+        total[t.degree : t.degree + len(c)] += c[:, columns]
+    return total
 
 
 def check_two_part_induction(h: HessenbergFunction) -> CheckReport:
@@ -278,28 +283,27 @@ def check_two_part_induction(h: HessenbergFunction) -> CheckReport:
     _require_abelian(h, "the induction formula")
     dec = decompose(h)
     restrictions = _restrictions(h, 2)
-    rhs = _first_column_sums(restrictions, [lam for lam in dec.order.partitions if len(lam) == 2])
-    cells = [(lam, i) for i in dec.degrees for lam in dec.order.partitions if len(lam) > 1]
+    parts = [len(lam) for lam in dec.order.partitions]
+    two = [pi for pi, p in enumerate(parts) if p == 2]
+    expected = np.zeros_like(dec.c)
+    lams = [dec.order.partitions[pi] for pi in two]
+    expected[:, two] = _first_column_sums(restrictions, lams, len(dec.c))
+    columns = [pi for pi, p in enumerate(parts) if p > 1]
     params = {"h": list(h.values), "sink_sets": _sink_set_params(restrictions)}
-    failures = _coefficient_failures(dec, cells, rhs)
+    failures = _coefficient_failures(dec, columns, expected[:, columns])
     return report_from_failures("two_part_induction", params, failures)
 
 
-def _one_sink_polynomial(h: HessenbergFunction) -> GradedPolynomial:
+def _one_sink_polynomial(h: HessenbergFunction) -> np.ndarray:
     """Trivial-representation coefficients read off one-sink orientation ascents."""
     hist = orientation_histogram(h)
-    edges = len(build_graph(h).edges)
-    return GradedPolynomial(tuple(hist.get((1, i), 0) for i in range(edges + 1)))
+    return np.array([hist.get((1, i), 0) for i in range(negative_root_count(h) + 1)])
 
 
-def _polynomial_report(
-    name: str, params: dict, lhs: GradedPolynomial, rhs: GradedPolynomial
-) -> CheckReport:
+def _polynomial_report(name: str, params: dict, lhs: np.ndarray, rhs: np.ndarray) -> CheckReport:
     failures = []
-    if lhs.normalized() != rhs.normalized():
-        failures.append(
-            mismatch({"polynomial": "coefficients"}, list(rhs.coeffs), list(lhs.coeffs))
-        )
+    if not np.array_equal(lhs, rhs):
+        failures.append(mismatch({"polynomial": "coefficients"}, rhs.tolist(), lhs.tolist()))
     return report_from_failures(name, params, failures)
 
 
@@ -307,9 +311,11 @@ def check_nilpotent_poincare_recursion(h: HessenbergFunction) -> CheckReport:
     """Nilpotent Poincaré polynomial = one-sink part + shifted nilpotent
     polynomials of the h_T, coefficient-wise (abelian h)."""
     _require_abelian(h, "the recursion")
-    n = h.n
-    sub = _sink_set_sum(_restrictions(h, 2), lambda h_t: decompose(h_t).table[(n - 2,)].coeffs)
-    lhs, rhs = decompose(h).table[(n,)], _one_sink_polynomial(h) + sub
+    n, dec = h.n, decompose(h)
+    sub = _sink_set_sum(
+        _restrictions(h, 2), len(dec.c), lambda h_t: decompose(h_t).poincare((n - 2,))
+    )
+    lhs, rhs = dec.poincare((n,)), _one_sink_polynomial(h) + sub
     return _polynomial_report("nilpotent_poincare_recursion", {"h": list(h.values)}, lhs, rhs)
 
 
@@ -319,12 +325,12 @@ def check_regular_poincare_recursion(
     """Regular Poincaré polynomial for nu = (mu1+1, mu2+1) equals the nilpotent one
     plus shifted regular polynomials of type mu for the h_T (abelian h)."""
     _require_abelian(h, "the recursion")
-    n = h.n
+    n, dec = h.n, decompose(h)
     if len(nu) != 2 or nu[0] < nu[1] or nu[1] < 1 or sum(nu) != n:
         raise ValueError(f"nu={nu} is not a two-part partition of {n}")
     mu = _less_first_column(tuple(nu))
-    sub = _sink_set_sum(_restrictions(h, 2), lambda h_t: decompose(h_t).table[mu].coeffs)
-    lhs, rhs = decompose(h).table[tuple(nu)], decompose(h).table[(n,)] + sub
+    sub = _sink_set_sum(_restrictions(h, 2), len(dec.c), lambda h_t: decompose(h_t).poincare(mu))
+    lhs, rhs = dec.poincare(tuple(nu)), dec.poincare((n,)) + sub
     params = {"h": list(h.values), "nu": list(nu)}
     return _polynomial_report("regular_poincare_recursion", params, lhs, rhs)
 
@@ -340,9 +346,10 @@ def check_maximal_sink_conjecture(h: HessenbergFunction) -> CheckReport:
     dec = decompose(h)
     m = dec.max_sinks
     restrictions = _restrictions(h, m)
-    rhs = _first_column_sums(restrictions, [lam for lam in dec.order.partitions if len(lam) == m])
-    cells = [(lam, i) for lam in rhs for i in dec.degrees]
-    failures = _coefficient_failures(dec, cells, rhs)
+    columns = [pi for pi, lam in enumerate(dec.order.partitions) if len(lam) == m]
+    lams = [dec.order.partitions[pi] for pi in columns]
+    expected = _first_column_sums(restrictions, lams, len(dec.c))
+    failures = _coefficient_failures(dec, columns, expected, by_lambda=True)
     params = {"h": list(h.values), "m_gamma": m, "sink_sets": _sink_set_params(restrictions)}
     return report_from_failures(
         "maximal_sink_conjecture", params, failures, conjecture=True

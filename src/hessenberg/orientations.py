@@ -194,11 +194,15 @@ def relabeling(n: int, removed: Iterable[int]) -> list[int]:
     return phi
 
 
-def restrict(h: HessenbergFunction, T: Union[SinkSet, Iterable[int]]) -> HessenbergFunction:
+def restrict(
+    h: Union[HessenbergFunction, IncomparabilityGraph], T: Union[SinkSet, Iterable[int]]
+) -> HessenbergFunction:
     """The Hessenberg function h_T of the induced subgraph on [n] minus T:
-    h_T(phi(i)) = phi(h(i)) for i outside T."""
+    h_T(phi(i)) = phi(h(i)) for i outside T. h may be given as its graph, which
+    a caller restricting to many T builds once."""
     verts = T.vertices if isinstance(T, SinkSet) else tuple(sorted(int(v) for v in T))
-    graph = build_graph(h)
+    graph = h if isinstance(h, IncomparabilityGraph) else build_graph(h)
+    h = graph.h
     _check_sink_set(graph, verts)
     if len(verts) == h.n:
         raise ValueError("cannot restrict away every vertex")

@@ -191,9 +191,10 @@ def fixed_space_matrix(n: int) -> IntegerMatrix:
 
 
 def solve_fixed_space_system(
-    n: int, rows: Sequence[Sequence[int]]
-) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-    """The unique integer solutions of N c = b, one per vector b in rows, as (C, D).
+    n: int, rows: Sequence[Sequence[int]] | np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The unique integer solutions of N c = b, one per vector b in rows (a sequence of
+    integer sequences or a 2-D integer array), as read-only int64 arrays (C, D).
 
     N = K^T K, so with the vectors b as the rows of B, the int64 products
     D = B K^-1 (Young's rule: each row d = K c, the Specht coefficients) and
@@ -204,19 +205,20 @@ def solve_fixed_space_system(
     """
     inv = _inverse_kostka(n)
     m = len(inv)
-    for b in rows:
-        if len(b) != m:
-            raise SizeMismatch(f"vector length {len(b)} != {m} partitions of {n}")
+    for length in rows.shape[1:] if isinstance(rows, np.ndarray) else map(len, rows):
+        if length != m:
+            raise SizeMismatch(f"vector length {length} != {m} partitions of {n}")
     try:
-        big_b = np.array(rows, dtype=np.int64).reshape(len(rows), m)
+        big_b = np.asarray(rows, dtype=np.int64).reshape(len(rows), m)
     except OverflowError:
         raise NonIntegralSolution(f"a vector at n={n} does not fit in int64") from None
     d = _int64_product(big_b, inv)
     c = _int64_product(d, inv.T)
     wrong = np.flatnonzero((_int64_product(c, fixed_space_matrix(n).array.T) != big_b).any(axis=1))
     if len(wrong):
-        raise NonIntegralSolution(f"N c != b for b={list(rows[wrong[0]])}")
-    return tuple(map(tuple, c.tolist())), tuple(map(tuple, d.tolist()))
+        raise NonIntegralSolution(f"N c != b for b={big_b[wrong[0]].tolist()}")
+    c.flags.writeable = d.flags.writeable = False
+    return c, d
 
 
 def count_ph_tableaux(h: HessenbergFunction, shape: Partition) -> int:

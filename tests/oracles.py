@@ -350,3 +350,13 @@ def fixed_space_reference(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(
         tuple(sum(k[mu][a] * k[mu][b] for mu in range(m)) for b in range(m)) for a in range(m)
     )
+
+
+def plain_json(value) -> bool:
+    """Whether value is built of dicts with str keys, lists, str, bool, None and
+    plain int only: no numpy scalar, which json.dumps would refuse."""
+    if isinstance(value, dict):
+        return all(type(k) is str and plain_json(v) for k, v in value.items())
+    if isinstance(value, list):
+        return all(map(plain_json, value))
+    return value is None or type(value) in (str, bool, int)

@@ -216,9 +216,9 @@ def test_verify_chunk_builds_its_tables_in_one_call(monkeypatch):
     # engine calls as lists of h, with a marker for the start ("in") and end ("out")
     # of each decompositions call that cli makes: one per chunk, then one per group
     calls = []
-    engine, prefetch = dot_action.poincare_tables, cli.decompositions
+    engine, prefetch = dot_action.poincare_arrays, cli.decompositions
     monkeypatch.setattr(
-        dot_action, "poincare_tables", lambda hs, order: calls.append(hs) or engine(hs, order)
+        dot_action, "poincare_arrays", lambda hs, order: calls.append(hs) or engine(hs, order)
     )
 
     def marked(hs):
@@ -247,6 +247,38 @@ def test_verify_chunk_builds_its_tables_in_one_call(monkeypatch):
     # no h reaches the engine twice
     built = [h for hs in calls if hs not in ("in", "out") for h in hs]
     assert len(built) == len(set(built))
+
+
+def test_verify_thm61_builds_each_group_in_one_engine_call_per_n(monkeypatch):
+    # thm61 reads decompositions of the abelian h and of their h_T only; each group's
+    # one decompositions call builds both, so the checks themselves build nothing
+    calls = []
+    engine, prefetch = dot_action.poincare_arrays, cli.decompositions
+    monkeypatch.setattr(
+        dot_action, "poincare_arrays", lambda hs, order: calls.append(hs) or engine(hs, order)
+    )
+
+    def marked(hs):
+        calls.append("in")
+        built = prefetch(hs)
+        calls.append("out")
+        return built
+
+    monkeypatch.setattr(cli, "decompositions", marked)
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 1)
+    monkeypatch.setattr(dot_action, "_decompositions", {})
+    assert run_cli("verify", "7", "thm61")[0] == EXIT_OK
+    text = "".join("[" if c == "in" else "]" if c == "out" else str(c[0].n) for c in calls)
+    groups = re.findall(r"\[(\d*)\]", text)
+    assert "".join(f"[{g}]" for g in groups) == text  # no engine call outside a group's
+    assert all(len(set(g)) == len(g) for g in groups)  # at most one per (group, n)
+    functions = list(enumerate_hessenberg_functions(7))
+    chunks = [functions[i : i + 108] for i in range(0, 429, 108)]
+    assert len(groups) == sum(-(-len(chunk) // cli._GROUP) for chunk in chunks)
+    # no h reaches the engine twice, and each abelian h of n = 7 reaches it
+    built = [h for hs in calls if hs not in ("in", "out") for h in hs]
+    assert len(built) == len(set(built))
+    assert {h for h in built if h.n == 7} == {h for h in functions if roots.is_abelian(h)}
 
 
 def test_verify_sweep_builds_each_fact_once(monkeypatch):

@@ -1,12 +1,19 @@
 import dataclasses
+import json
 import random
 from math import factorial
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from hessenberg import dot_action
-from hessenberg.betti import GradedPolynomial, poincare_polynomial, poincare_tables
+from hessenberg.betti import (
+    GradedPolynomial,
+    poincare_arrays,
+    poincare_polynomial,
+    poincare_tables,
+)
 from hessenberg.dot_action import (
     chromatic_check,
     decompose,
@@ -35,7 +42,7 @@ from hessenberg.roots import (
     validate_hessenberg,
 )
 
-from oracles import brute_zero_one_matrix_count, hessenberg_values, mahonian
+from oracles import brute_zero_one_matrix_count, hessenberg_values, mahonian, plain_json
 
 
 def all_h(n):
@@ -94,13 +101,10 @@ def modular_law_failures(dec, lower, upper):
 def test_modular_law(n, triples):
     # the modular law of Guay-Paquet and Abreu–Nigro for the chromatic
     # quasisymmetric function, read coefficientwise in the e-basis, on tables
-    # built for every h of n by one poincare_tables call
+    # built for every h of n by one poincare_arrays call
     hs = all_h(n)
     order = partitions_of(n).partitions
-    decs = {
-        h: decompose_table(h, dict(zip(order, polys)))
-        for h, polys in zip(hs, poincare_tables(hs, order))
-    }
+    decs = {h: decompose_table(h, table) for h, table in zip(hs, poincare_arrays(hs, order))}
     found = list(modular_triples(hs))
     assert len(found) == triples
     for h, lower, upper in found:
@@ -119,13 +123,13 @@ def test_betti_table_matches_single_calls(n):
 @pytest.mark.parametrize("n", range(1, 7))
 def test_decompositions_of_every_h_of_n_equal_per_h_solves(monkeypatch, n):
     # from an empty memo, one call over every h of n; each record equals the solve
-    # of the engine's table for h alone, and keeps that table
+    # of the engine's table for h alone, and gives back that table
     monkeypatch.setattr(dot_action, "_decompositions", {})
     hs = all_h(n)
     order = partitions_of(n).partitions
     for h, dec in zip(hs, decompositions(hs), strict=True):
+        assert dec == decompose_table(h, poincare_arrays([h], order)[0])
         table = dict(zip(order, poincare_tables([h], order)[0]))
-        assert dec == decompose_table(h, table)
         assert dict(dec.table) == table and list(dec.table) == list(order)
 
 
@@ -150,7 +154,7 @@ def test_stacked_solve_equals_per_h_solves(n):
     # decompose_tables solves the degrees of every h of n in one stacked solve
     hs = all_h(n)
     order = partitions_of(n).partitions
-    tables = [dict(zip(order, polys)) for polys in poincare_tables(hs, order)]
+    tables = poincare_arrays(hs, order)
     assert decompose_tables(hs, tables) == [decompose_table(h, t) for h, t in zip(hs, tables)]
 
 
@@ -213,36 +217,35 @@ def test_decompose_n7_degree_five():
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_decompose_reproduces_betti_vectors(n):
-    # exact-arithmetic sanity: N c_i re-multiplied gives back the Betti vector,
-    # and d_i = K c_i (Young's rule)
+    # exact-arithmetic sanity: N c_i re-multiplied gives back the engine's Betti
+    # vector, and d_i = K c_i (Young's rule)
     rows = fixed_space_matrix(n).rows
     k_rows = kostka_matrix(n).rows
+    order = partitions_of(n).partitions
     for h in all_h(n):
-        table = decompose(h).table
-        dec = decompose_table(h, table)
+        table = dict(zip(order, poincare_tables([h], order)[0]))
+        dec = decompose_table(h, poincare_arrays([h], order)[0])
         assert dec == decompose(h)
-        order = dec.order
         for i in dec.degrees:
             b = [table[nu].coefficient(i) for nu in order]
-            back = [
-                sum(rows[a][j] * dec.c[i][j] for j in range(len(order)))
-                for a in range(len(order))
-            ]
+            c = dec.c[i].tolist()
+            back = [sum(rows[a][j] * c[j] for j in range(len(order))) for a in range(len(order))]
             assert back == b
-            c = dec.c[i]
-            assert dec.d[i] == tuple(sum(x * y for x, y in zip(k_row, c)) for k_row in k_rows)
+            assert dec.d[i].tolist() == [sum(x * y for x, y in zip(k_row, c)) for k_row in k_rows]
 
 
 def test_decompose_table_rejects_wrong_length():
-    # a Betti polynomial must hold |Phi_h^-| + 1 coefficients, trailing zeros too
+    # a Betti polynomial must hold |Phi_h^-| + 1 coefficients, trailing zeros too,
+    # and the table one polynomial per partition
     h = validate_hessenberg([2, 3, 3])
-    table = dict(decompose(h).table)
-    table[(3,)] = GradedPolynomial(table[(3,)].coeffs[:-1])
+    table = poincare_arrays([h], partitions_of(3).partitions)[0]
+    assert decompose_table(h, table) == decompose(h)
     with pytest.raises(SizeMismatch):
-        decompose_table(h, table)
-    table[(3,)] = GradedPolynomial(decompose(h).table[(3,)].coeffs + (0,))
+        decompose_table(h, table[:, :-1])
     with pytest.raises(SizeMismatch):
-        decompose_table(h, table)
+        decompose_table(h, np.pad(table, ((0, 0), (0, 1))))
+    with pytest.raises(SizeMismatch):
+        decompose_table(h, table[:-1])
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -275,6 +278,42 @@ def test_restriction_support_consistency(n):
                     for pi, lam in enumerate(sub.order.partitions):
                         if len(lam) > m:
                             assert sub.c[i][pi] == 0
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_table_and_poincare_equal_the_engine(n):
+    # table and poincare(nu) are N c: read against an engine call of h alone,
+    # made apart from the decompositions whose solve gave c
+    order = partitions_of(n).partitions
+    for h in all_h(n):
+        engine = poincare_tables([h], order)[0]
+        dec = decompose(h)
+        assert list(dec.table) == list(order) and list(dec.table.values()) == engine
+        for nu, poly in zip(order, engine):
+            assert dec.poincare(nu).tolist() == list(poly.coeffs)
+
+
+def test_decomposition_arrays_are_read_only_int64():
+    h = validate_hessenberg([3, 4, 5, 5, 5])
+    dec = decompose(h)
+    for rows in (dec.c, dec.d):
+        assert rows.dtype == np.int64 and not rows.flags.writeable
+        assert rows.shape == (len(dec.degrees), len(dec.order))
+        with pytest.raises(ValueError):
+            rows[0, 0] = 1
+    assert dec.poincare((5,)).dtype == np.int64
+
+
+def test_replace_with_integer_sequences_builds_an_equal_decomposition():
+    dec = decompose(validate_hessenberg([2, 3, 4, 5, 5]))
+    rows = tuple(map(tuple, dec.c.tolist()))
+    again = dataclasses.replace(dec, c=rows, d=[list(row) for row in dec.d.tolist()])
+    assert again == dec and again is not dec
+    assert again.c.dtype == np.int64 and not again.c.flags.writeable
+    bumped = [list(row) for row in rows]
+    bumped[1][0] += 1
+    assert dataclasses.replace(dec, c=bumped) != dec
+    assert dataclasses.replace(dec, max_sinks=dec.max_sinks + 1) != dec
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -511,6 +550,26 @@ def test_gasharov_check_failure_report():
             ({"lambda": [2, 2, 1]}, 1, 2),
         ],
     )
+
+
+def test_failure_certificates_hold_plain_ints():
+    h, dec = _perturbed_decomposition()
+    c = [list(row) for row in dec.c.tolist()]
+    c[3][dec.order.index((5,))] = -1
+    negative = dataclasses.replace(dec, c=c)
+    reports = [
+        orientation_count_check(h, dec),
+        gasharov_check(h, dec),
+        chromatic_check(h, dec),
+        e_positivity_report(h, negative),
+    ]
+    for report in reports:
+        assert not report.passed
+        payload = report.to_json_dict()
+        assert plain_json(payload) and json.loads(json.dumps(payload)) == payload
+    assert reports[-1].failures == [
+        {"location": {"lambda": [5], "degree": 3}, "expected": "nonnegative", "actual": -1}
+    ]
 
 
 def test_chromatic_check_failure_report():

@@ -1,13 +1,14 @@
+import json
+
 import pytest
 
 import hessenberg.dot_action as dot_action
 from hessenberg.betti import (
-    GradedPolynomial,
     inversion_pairs,
     perm_compose,
     perm_inverse,
+    poincare_arrays,
     poincare_polynomial,
-    poincare_tables,
 )
 from hessenberg.induction import (
     BetaNotInIdeal,
@@ -31,7 +32,7 @@ from hessenberg.roots import (
     validate_hessenberg,
 )
 
-from oracles import identity_permutation
+from oracles import identity_permutation, plain_json
 
 
 H5 = validate_hessenberg([3, 4, 5, 5, 5])
@@ -322,19 +323,15 @@ def perturbed_h_t(monkeypatch):
     """P_(3)(h_T) gains 1 at degree 1; every other Poincaré polynomial is exact."""
 
     def perturbed(hs, compositions):
-        return [
-            [
-                poly + GradedPolynomial((0, 1))
-                if h == PERTURBED_H_T and tuple(nu) == (3,)
-                else poly
-                for nu, poly in zip(compositions, polys)
-            ]
-            for h, polys in zip(hs, poincare_tables(hs, compositions))
-        ]
+        tables = [table.copy() for table in poincare_arrays(hs, compositions)]
+        for h, table in zip(hs, tables):
+            if h == PERTURBED_H_T:
+                table[[tuple(nu) for nu in compositions].index((3,)), 1] += 1
+        return tables
 
     # an empty memo for the test; the one restored after it never saw the perturbed values
     monkeypatch.setattr(dot_action, "_decompositions", {})
-    monkeypatch.setattr(dot_action, "poincare_tables", perturbed)
+    monkeypatch.setattr(dot_action, "poincare_arrays", perturbed)
 
 
 def test_two_part_induction_failure_certificate(perturbed_h_t):
@@ -391,6 +388,19 @@ def test_maximal_sink_conjecture_failure_certificate(perturbed_h_t):
             _coefficient_failure([3, 2], 4, -2, 1),
         ],
     }
+
+
+def test_induction_failure_certificates_hold_plain_ints(perturbed_h_t):
+    reports = [
+        check_two_part_induction(H5),
+        check_nilpotent_poincare_recursion(H5),
+        check_regular_poincare_recursion(H5, (4, 1)),
+        check_maximal_sink_conjecture(H5),
+    ]
+    for report in reports:
+        assert not report.passed
+        payload = report.to_json_dict()
+        assert plain_json(payload) and json.loads(json.dumps(payload)) == payload
 
 
 @pytest.mark.parametrize("n", range(3, 11))

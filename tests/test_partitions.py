@@ -1,6 +1,7 @@
 import random
 from math import factorial
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -171,6 +172,12 @@ def test_two_row_closed_form_matches_ssyt_matrix(n):
             assert mat.entry(lam, nu) == expected
 
 
+def _solve(n, rows):
+    """solve_fixed_space_system with its (C, D) arrays read back as tuples of rows."""
+    c, d = solve_fixed_space_system(n, rows)
+    return tuple(map(tuple, c.tolist())), tuple(map(tuple, d.tolist()))
+
+
 def _times(rows, c):
     return tuple(sum(r * x for r, x in zip(row, c)) for row in rows)
 
@@ -180,7 +187,7 @@ def test_solve_unit_vectors_round_trip():
     for n in range(1, 7):
         rows = fixed_space_matrix(n).rows
         m = len(rows)
-        c, _ = solve_fixed_space_system(n, rows)
+        c, _ = _solve(n, rows)
         assert c == tuple(tuple(int(i == k) for i in range(m)) for k in range(m))
 
 
@@ -190,13 +197,25 @@ def test_solve_random_round_trip():
         rows = fixed_space_matrix(n).rows
         m = len(rows)
         c_true = tuple(tuple(rng.randint(-9, 9) for _ in range(m)) for _ in range(10))
-        c, _ = solve_fixed_space_system(n, [_times(rows, c_row) for c_row in c_true])
+        c, _ = _solve(n, [_times(rows, c_row) for c_row in c_true])
         assert c == c_true
+
+
+def test_solve_takes_and_gives_int64_arrays():
+    # one stacked array in, read-only int64 arrays of C and D out, as for rows
+    n = 5
+    rows = fixed_space_matrix(n).rows
+    c, d = solve_fixed_space_system(n, np.array(rows[:3], dtype=np.int64))
+    for out in (c, d):
+        assert out.dtype == np.int64 and out.shape == (3, len(rows)) and not out.flags.writeable
+    assert _solve(n, rows[:3]) == (tuple(map(tuple, c.tolist())), tuple(map(tuple, d.tolist())))
+    with pytest.raises(SizeMismatch):
+        solve_fixed_space_system(n, np.zeros((2, len(rows) - 1), dtype=np.int64))
 
 
 def test_solve_rejects_wrong_length():
     with pytest.raises(SizeMismatch):
-        solve_fixed_space_system(4, [[1, 2, 3]])
+        _solve(4, [[1, 2, 3]])
 
 
 def test_solve_recheck_is_live(monkeypatch):
@@ -212,9 +231,9 @@ def test_solve_recheck_is_live(monkeypatch):
         lambda size: IntegerMatrix(partitions_of(size), tuple(map(tuple, bumped))),
     )
     with pytest.raises(NonIntegralSolution):
-        solve_fixed_space_system(n, [b])
+        _solve(n, [b])
     monkeypatch.undo()
-    assert solve_fixed_space_system(n, [b])[0] == ((1, 0, 2, 0, 1),)
+    assert _solve(n, [b])[0] == ((1, 0, 2, 0, 1),)
 
 
 @pytest.mark.parametrize("n", range(2, 7))
@@ -231,7 +250,7 @@ def test_truncated_solve_agrees(n):
         sub_k = [[k_rows[i][j] for j in keep] for i in keep]
         for _ in range(5):
             c_true = tuple(rng.randint(-5, 5) if i < cut else 0 for i in range(len(order)))
-            (c,), (d,) = solve_fixed_space_system(
+            (c,), (d,) = _solve(
                 n, [_times(fixed_space_matrix(n).rows, c_true)]
             )
             assert c == c_true
@@ -243,7 +262,7 @@ def test_young_rule_examples():
     # the unit vector e_k solves N c = N e_k, and d = K e_k is column k of K
     for n in range(1, 7):
         rows = fixed_space_matrix(n).rows
-        _, (d_first, d_last) = solve_fixed_space_system(n, [rows[0], rows[-1]])
+        _, (d_first, d_last) = _solve(n, [rows[0], rows[-1]])
         assert d_first == (1,) + (0,) * (len(rows) - 1)  # M^(n) is irreducible
         for value, lam in zip(d_last, partitions_of(n).partitions):
             assert value == hook_length_count(lam)  # standard tableaux counts
@@ -256,7 +275,7 @@ def test_young_rule_round_trip():
         rows = fixed_space_matrix(n).rows
         m = len(rows)
         c_true = [rng.randint(-9, 9) for _ in range(m)]
-        (c,), (d,) = solve_fixed_space_system(n, [_times(rows, c_true)])
+        (c,), (d,) = _solve(n, [_times(rows, c_true)])
         assert c == tuple(c_true)
         assert d == _times(kostka_matrix(n).rows, c_true)
 
@@ -271,7 +290,7 @@ def test_solve_of_every_betti_table_matches_reference(n):
     order = partitions_of(n).partitions
     for h in enumerate_hessenberg_functions(n):
         rows = list(zip(*(p.coeffs for p in poincare_tables([h], order)[0])))
-        assert solve_fixed_space_system(n, rows) == solve_fixed_space_reference(n, rows)
+        assert _solve(n, rows) == solve_fixed_space_reference(n, rows)
 
 
 @pytest.mark.parametrize("n", range(1, 14))
@@ -280,14 +299,14 @@ def test_solve_of_large_random_vectors_matches_reference(n):
     rows = fixed_space_matrix(n).rows
     c_true = [[rng.randint(-10**6, 10**6) for _ in rows] for _ in range(4)]
     b = [_times(rows, c_row) for c_row in c_true]
-    c, d = solve_fixed_space_system(n, b)
+    c, d = _solve(n, b)
     assert (c, d) == solve_fixed_space_reference(n, b)
     assert c == tuple(map(tuple, c_true))
 
 
 def test_solve_of_every_row_of_n_at_13_matches_reference():
     rows = fixed_space_matrix(13).rows
-    assert solve_fixed_space_system(13, rows) == solve_fixed_space_reference(13, rows)
+    assert _solve(13, rows) == solve_fixed_space_reference(13, rows)
 
 
 @pytest.mark.parametrize("entry", [2**62, -(2**62), 2**63 - 1, -(2**63), 2**70])
@@ -295,7 +314,7 @@ def test_solve_rejects_vectors_that_could_overflow(entry):
     b = [0] * len(partitions_of(5))
     b[-1] = entry
     with pytest.raises(NonIntegralSolution) as caught:
-        solve_fixed_space_system(5, [fixed_space_matrix(5).rows[0], b])
+        _solve(5, [fixed_space_matrix(5).rows[0], b])
     assert "\n" not in str(caught.value)
 
 
@@ -305,7 +324,7 @@ def test_solve_recheck_catches_a_wrong_inverse(monkeypatch):
     wrong[0, -1] += 1
     monkeypatch.setattr(partitions, "_inverse_kostka", lambda size: wrong)
     with pytest.raises(NonIntegralSolution):
-        solve_fixed_space_system(n, [fixed_space_matrix(n).rows[-1]])
+        _solve(n, [fixed_space_matrix(n).rows[-1]])
 
 
 def test_inverse_kostka_check_is_live(monkeypatch):
