@@ -212,9 +212,11 @@ def test_verify_8_conj81_output_is_pinned(monkeypatch, workers):
     assert hashlib.sha256(text.encode()).hexdigest() == VERIFY_8_CONJ81_SHA256
 
 
-def test_verify_chunk_builds_its_tables_in_one_call(monkeypatch):
-    # engine calls as lists of h, with a marker for the start ("in") and end ("out")
-    # of each decompositions call that cli makes: one per chunk, then one per group
+def _engine_calls(monkeypatch, *argv):
+    """Run argv at one worker from an empty memo. Return its engine calls as lists of h,
+    with a marker for the start ("in") and end ("out") of each decompositions call that
+    cli makes, and the groups of n that each such call passed to the engine, after
+    checking that every engine call is made by one of them, at most one per n."""
     calls = []
     engine, prefetch = dot_action.poincare_arrays, cli.decompositions
     monkeypatch.setattr(
@@ -230,55 +232,40 @@ def test_verify_chunk_builds_its_tables_in_one_call(monkeypatch):
     monkeypatch.setattr(cli, "decompositions", marked)
     monkeypatch.setattr(cli, "_cpu_count", lambda: 1)
     monkeypatch.setattr(dot_action, "_decompositions", {})
-    assert run_cli("verify", "5", "all")[0] == EXIT_OK
+    assert run_cli(*argv)[0] == EXIT_OK
+    text = "".join("[" if c == "in" else "]" if c == "out" else str(c[0].n) for c in calls)
+    groups = re.findall(r"\[(\d*)\]", text)
+    assert "".join(f"[{g}]" for g in groups) == text
+    assert all(len(set(g)) == len(g) for g in groups)
+    # no h reaches the engine twice
+    built = [h for hs in calls if hs not in ("in", "out") for h in hs]
+    assert len(built) == len(set(built))
+    return calls, groups
+
+
+def test_verify_chunk_builds_its_tables_in_one_call(monkeypatch):
+    # one decompositions call per chunk, then one per group: the checks themselves
+    # build nothing
+    calls, groups = _engine_calls(monkeypatch, "verify", "5", "all")
     functions = list(enumerate_hessenberg_functions(5))
     chunks = [functions[i : i + 11] for i in range(0, 42, 11)]
     # one engine call per chunk of 11 h holds every h of the chunk
     assert [set(hs) for hs in calls if hs not in ("in", "out") and hs[0].n == 5] == [
         set(chunk) for chunk in chunks
     ]
-    # every engine call is made by one of cli's decompositions calls, each of which
-    # makes at most one engine call per n: the checks themselves build nothing
-    text = "".join("[" if c == "in" else "]" if c == "out" else str(c[0].n) for c in calls)
-    groups = re.findall(r"\[(\d*)\]", text)
-    assert "".join(f"[{g}]" for g in groups) == text
-    assert all(len(set(g)) == len(g) for g in groups)
     assert len(groups) == len(chunks) + sum(-(-len(chunk) // cli._GROUP) for chunk in chunks)
-    # no h reaches the engine twice
-    built = [h for hs in calls if hs not in ("in", "out") for h in hs]
-    assert len(built) == len(set(built))
 
 
 def test_verify_thm61_builds_each_group_in_one_engine_call_per_n(monkeypatch):
     # thm61 reads decompositions of the abelian h and of their h_T only; each group's
     # one decompositions call builds both, so the checks themselves build nothing
-    calls = []
-    engine, prefetch = dot_action.poincare_arrays, cli.decompositions
-    monkeypatch.setattr(
-        dot_action, "poincare_arrays", lambda hs, order: calls.append(hs) or engine(hs, order)
-    )
-
-    def marked(hs):
-        calls.append("in")
-        built = prefetch(hs)
-        calls.append("out")
-        return built
-
-    monkeypatch.setattr(cli, "decompositions", marked)
-    monkeypatch.setattr(cli, "_cpu_count", lambda: 1)
-    monkeypatch.setattr(dot_action, "_decompositions", {})
-    assert run_cli("verify", "7", "thm61")[0] == EXIT_OK
-    text = "".join("[" if c == "in" else "]" if c == "out" else str(c[0].n) for c in calls)
-    groups = re.findall(r"\[(\d*)\]", text)
-    assert "".join(f"[{g}]" for g in groups) == text  # no engine call outside a group's
-    assert all(len(set(g)) == len(g) for g in groups)  # at most one per (group, n)
+    calls, groups = _engine_calls(monkeypatch, "verify", "7", "thm61")
     functions = list(enumerate_hessenberg_functions(7))
     chunks = [functions[i : i + 108] for i in range(0, 429, 108)]
     assert len(groups) == sum(-(-len(chunk) // cli._GROUP) for chunk in chunks)
-    # no h reaches the engine twice, and each abelian h of n = 7 reaches it
-    built = [h for hs in calls if hs not in ("in", "out") for h in hs]
-    assert len(built) == len(set(built))
-    assert {h for h in built if h.n == 7} == {h for h in functions if roots.is_abelian(h)}
+    # each abelian h of n = 7 reaches the engine, in its group's call
+    built = {h for hs in calls if hs not in ("in", "out") for h in hs if h.n == 7}
+    assert built == {h for h in functions if roots.is_abelian(h)}
 
 
 def test_verify_sweep_builds_each_fact_once(monkeypatch):
