@@ -212,6 +212,25 @@ def test_verify_8_conj81_output_is_pinned(monkeypatch, workers):
     assert hashlib.sha256(text.encode()).hexdigest() == VERIFY_8_CONJ81_SHA256
 
 
+# every h at n <= 6 in enumerate order, then three wider h at n = 7 and 8
+BETTI_PIN_H = [
+    ",".join(map(str, h.values)) for n in range(1, 7) for h in enumerate_hessenberg_functions(n)
+] + ["3,4,5,6,7,7,7", "2,3,4,5,6,7,8,8", "8,8,8,8,8,8,8,8"]
+BETTI_PIN_SHA256 = "877c2aee458afa8518539f176e79877b207d30392ca750dffbde5a7bb8bc64bf"
+
+
+def test_betti_and_decompose_output_is_pinned():
+    # per h and format: betti, decompose and betti --nu 1,...,1, each followed by its exit code
+    out = io.StringIO()
+    for h in BETTI_PIN_H:
+        ones = ",".join(["1"] * (h.count(",") + 1))
+        for fmt in ("json", "csv", "pretty"):
+            for argv in (["betti", h], ["decompose", h], ["betti", h, "--nu", ones]):
+                code = main(["--max-n", "8", "--format", fmt, *argv], out)
+                out.write(f"rc={code}\n")
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == BETTI_PIN_SHA256
+
+
 def _engine_calls(monkeypatch, *argv):
     """Run argv at one worker from an empty memo. Return its engine calls as lists of h,
     with a marker for the start ("in") and end ("out") of each decompositions call that
