@@ -1,13 +1,11 @@
 """Exact combinatorics of regular Hessenberg varieties at desk scale."""
 
 from .betti import (
-    GradedPolynomial,
     composition_simple_roots,
     conjugated_hessenberg,
     hessenberg_inversions,
     poincare_arrays,
     poincare_polynomial,
-    poincare_tables,
     satisfies_hessenberg_condition,
     shortest_coset_decompose,
     shortest_coset_representatives,
@@ -16,7 +14,6 @@ from .dot_action import (
     GradedRepDecomposition,
     chromatic_check,
     decompose,
-    decompose_table,
     decompositions,
     e_positivity_report,
     gasharov_check,

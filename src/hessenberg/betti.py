@@ -3,7 +3,6 @@ Hessenberg varieties via the combinatorial Betti-number formula."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 from typing import Sequence
@@ -96,44 +95,6 @@ def satisfies_hessenberg_condition(
     return all(in_phi_h((inv[p - 1], inv[p]), h) for p in j_indices)
 
 
-@dataclass(frozen=True)
-class GradedPolynomial:
-    """Integer coefficients of a polynomial in t^2: value sum(coeffs[i] * t^(2i))."""
-
-    coeffs: tuple[int, ...]
-
-    def coefficient(self, i: int) -> int:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
-
-    def degree(self) -> int:
-        """Largest i with a nonzero coefficient (0 for the zero polynomial)."""
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            if self.coeffs[i]:
-                return i
-        return 0
-
-    def total(self) -> int:
-        """Evaluation at t = 1."""
-        return sum(self.coeffs)
-
-    def normalized(self) -> tuple[int, ...]:
-        """Coefficients with trailing zeros removed (for identity comparisons)."""
-        out = list(self.coeffs)
-        while out and out[-1] == 0:
-            out.pop()
-        return tuple(out)
-
-    def shifted(self, k: int) -> "GradedPolynomial":
-        """Multiplication by t^(2k)."""
-        return GradedPolynomial((0,) * k + self.coeffs)
-
-    def __add__(self, other: "GradedPolynomial") -> "GradedPolynomial":
-        size = max(len(self.coeffs), len(other.coeffs))
-        return GradedPolynomial(
-            tuple(self.coefficient(i) + other.coefficient(i) for i in range(size))
-        )
-
-
 MAX_POINCARE_N = 13
 """Largest n the Poincaré engine accepts. A stored DP value counts bijections
 of at most n - 1 values, so it is at most (n - 1)! < 2^31 up to n = 13; the
@@ -147,7 +108,7 @@ about 40 MB at n = 13, in 0.05-0.15 s on a 2-core VM, and by 16 MB at
 n = 12; each n doubles it or more."""
 
 POINCARE_BLOCK_CELLS = 1 << 19
-"""Most int32 DP values (2 MB) that poincare_tables puts in one block of
+"""Most int32 DP values (2 MB) that poincare_arrays puts in one block of
 several h; a single h that needs more runs as a block of one."""
 
 
@@ -214,20 +175,20 @@ def _step_plan(
 
 
 def poincare_slot(h: HessenbergFunction) -> tuple[int, int]:
-    """The pad and top of h's slot in a block of poincare_tables: its largest degree
+    """The pad and top of h's slot in a block of poincare_arrays: its largest degree
     step h(j) - j and |Phi_h^-|. A block's slots share the width of its largest pad
     plus its largest top plus 1."""
     return max(v - j for j, v in enumerate(h.values, 1)), negative_root_count(h)
 
 
 def poincare_blocks(hs: Sequence[HessenbergFunction]) -> list[list[HessenbergFunction]]:
-    """hs, which must share n, cut in input order into the blocks that poincare_tables
+    """hs, which must share n, cut in input order into the blocks that poincare_arrays
     runs as one DP pass each: a block takes the next h while it holds at most
     POINCARE_BLOCK_CELLS values (see MAX_POINCARE_N), or one h alone."""
     hs = list(hs)
     n = hs[0].n if hs else 0
     if any(h.n != n for h in hs):
-        raise ValueError("the functions of one poincare_tables call must share n")
+        raise ValueError("the functions of one poincare_arrays call must share n")
     poincare_size_guard(n)
     rows = _subset_dp_plan(n)[-1][n] if hs else 0  # DP rows of layers 0..n-1
     blocks, pad, top = [], 0, 0
@@ -255,17 +216,6 @@ def poincare_arrays(
     """
     return [
         table for block in poincare_blocks(hs) for table in _poincare_block(block, compositions)
-    ]
-
-
-def poincare_tables(
-    hs: Sequence[HessenbergFunction], compositions: Sequence[Sequence[int]]
-) -> list[list[GradedPolynomial]]:
-    """poincare_arrays with each row wrapped as a GradedPolynomial, for one-off readers
-    (betti --nu, poincare_polynomial, tests); decompositions reads the arrays."""
-    return [
-        [GradedPolynomial(tuple(row)) for row in table.tolist()]
-        for table in poincare_arrays(hs, compositions)
     ]
 
 
@@ -346,9 +296,10 @@ def _poincare_block(
     return [table[x, :, : top + 1] for x, top in enumerate(tops.tolist())]
 
 
-def poincare_polynomial(nu: Sequence[int], h: HessenbergFunction) -> GradedPolynomial:
-    """Poincaré polynomial of the regular Hessenberg variety of Jordan type nu."""
-    return poincare_tables([h], [nu])[0][0]
+def poincare_polynomial(nu: Sequence[int], h: HessenbergFunction) -> np.ndarray:
+    """Poincaré polynomial of the regular Hessenberg variety of Jordan type nu, as the
+    read-only int64 row of poincare_arrays: coefficient i at degree 0..|Phi_h^-|."""
+    return poincare_arrays([h], [nu])[0][0]
 
 
 def shortest_coset_decompose(w: Permutation, nu1: int) -> tuple[Permutation, Permutation]:

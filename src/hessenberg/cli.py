@@ -32,7 +32,7 @@ from .dot_action import (
     GradedRepDecomposition,
     chromatic_check,
     decompose,
-    decompose_table,
+    decompose_tables,
     decompositions,
     e_positivity_report,
     gasharov_check,
@@ -102,9 +102,9 @@ class TableCache:
         size = negative_root_count(h) + 1
         rows = self._read(path, list(h.values), len(order), size)
         if rows is not None:
-            return decompose_table(h, rows)
+            return decompose_tables([h], [rows])[0]
         dec = decompose(h)
-        rows = [list(poly.coeffs) for poly in dec.table.values()]
+        rows = dec.table.tolist()
         self._write(path, {"h": list(h.values), "rows": rows, "sha256": _digest(h.values, rows)})
         return dec
 
@@ -265,14 +265,13 @@ def cmd_betti(args, out) -> int:
     _guard(h.n, args.max_n)
     if args.nu is not None:
         nu = _parse_composition(args.nu, h.n)
-        polys = {nu: poincare_polynomial(nu, h)}
-    elif args.cache_dir:
-        polys = TableCache(Path(args.cache_dir)).decompose(h).table
+        nus, table = [nu], [poincare_polynomial(nu, h).tolist()]
     else:
-        polys = decompose(h).table
-    rows = []
-    for nu, poly in polys.items():
-        rows.append({"nu": list(nu), "h": list(h.values), "coeffs": list(poly.coeffs)})
+        dec = TableCache(Path(args.cache_dir)).decompose(h) if args.cache_dir else decompose(h)
+        nus, table = dec.order.partitions, dec.table.tolist()
+    rows = [
+        {"nu": list(nu), "h": list(h.values), "coeffs": coeffs} for nu, coeffs in zip(nus, table)
+    ]
     if args.format == "csv":
         writer = csv.writer(out)
         writer.writerow(["nu", "coeffs"])

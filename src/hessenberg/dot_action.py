@@ -12,7 +12,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .betti import GradedPolynomial, poincare_arrays, poincare_blocks, poincare_slot
+from .betti import poincare_arrays, poincare_blocks, poincare_slot
 from .orientations import build_graph, max_sink_set_size
 from .partitions import (
     Partition,
@@ -61,13 +61,12 @@ class GradedRepDecomposition:
         return range(len(self.c))
 
     @property
-    def table(self) -> Mapping[Partition, GradedPolynomial]:
-        """The Betti table, read-only: per nu in order, P_nu = N[nu] c over the degrees,
-        all of them from one int64 product."""
-        rows = _int64_product(fixed_space_matrix(self.order.n).array, self.c.T).tolist()
-        return MappingProxyType(
-            {nu: GradedPolynomial(tuple(row)) for nu, row in zip(self.order.partitions, rows)}
-        )
+    def table(self) -> np.ndarray:
+        """The Betti table N c as a read-only int64 array [partition in order, degree],
+        the layout of poincare_arrays: row nu is P_nu over the degrees."""
+        table = _int64_product(fixed_space_matrix(self.order.n).array, self.c.T)
+        table.flags.writeable = False
+        return table
 
     def poincare(self, nu: Partition) -> np.ndarray:
         """P_nu as an int64 array over the degrees: c times column nu of N."""
@@ -116,11 +115,6 @@ def decompose_tables(
         out.append(GradedRepDecomposition(h, order, c[start:end], d[start:end], sinks))
         start = end
     return out
-
-
-def decompose_table(h: HessenbergFunction, table) -> GradedRepDecomposition:
-    """decompose_tables for h alone."""
-    return decompose_tables([h], [table])[0]
 
 
 _decompositions: dict[HessenbergFunction, GradedRepDecomposition] = {}

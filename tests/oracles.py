@@ -16,7 +16,6 @@ from operator import mul
 from hypothesis import strategies as st
 
 from hessenberg.betti import (
-    GradedPolynomial,
     Permutation,
     composition_simple_roots,
     hessenberg_inversions,
@@ -277,14 +276,15 @@ def identity_permutation(n: int) -> Permutation:
     return tuple(range(1, n + 1))
 
 
-def poincare_polynomial_reference(nu, h) -> GradedPolynomial:
-    """Pure-Python sum over S_n, the test oracle for poincare_polynomial."""
+def poincare_polynomial_reference(nu, h) -> tuple[int, ...]:
+    """Pure-Python sum over S_n, the test oracle for poincare_polynomial: its
+    coefficients at degree 0..|Phi_h^-|."""
     j_indices = composition_simple_roots(nu)
     coeffs = [0] * (len(roots_of(h)[0]) + 1)
     for w in itertools.permutations(range(1, h.n + 1)):
         if satisfies_hessenberg_condition(w, j_indices, h):
             coeffs[hessenberg_inversions(w, h)] += 1
-    return GradedPolynomial(tuple(coeffs))
+    return tuple(coeffs)
 
 
 def sink_set(graph: IncomparabilityGraph, vertices) -> SinkSet:

@@ -188,7 +188,7 @@ def test_criterion_7_oracle_battery():
                     for pi, lam in enumerate(dec.order.partitions)
                 )
                 assert total == factorial(n)
-                semisimple = poincare_polynomial((1,) * n, h).coeffs
+                semisimple = poincare_polynomial((1,) * n, h).tolist()
                 assert semisimple == semisimple[::-1]
                 if h in chromatic_targets:
                     report = chromatic_check(h, dec)

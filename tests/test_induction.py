@@ -178,7 +178,7 @@ def test_slice_properties_abelian(n):
                 mu = (nu1 - 1, n - nu1 - 1)
                 sub_poly = poincare_polynomial(mu, restrict(h, t))
                 # ungraded identity
-                assert len(sl.members) == sub_poly.total()
+                assert len(sl.members) == sub_poly.sum()
                 # graded identity, slice by slice, via the degree shift
                 if nu1 >= nu[1]:  # partition-shaped nu: check report machinery too
                     assert slice_bijection_check(nu, beta, h).passed
@@ -210,7 +210,7 @@ def test_graded_slice_identity(n):
             rhs = {}
             for t in sink_sets(graph, 2):
                 poly = poincare_polynomial(mu, restrict(h, t))
-                for i, coeff in enumerate(poly.coeffs):
+                for i, coeff in enumerate(poly.tolist()):
                     if coeff:
                         rhs[i + t.degree] = rhs.get(i + t.degree, 0) + coeff
             assert lhs == rhs

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hessenberg import partitions
-from hessenberg.betti import poincare_tables
+from hessenberg.betti import poincare_arrays
 from hessenberg.partitions import (
     IntegerMatrix,
     NonIntegralSolution,
@@ -289,7 +289,7 @@ def test_fixed_space_matrix_is_the_python_triple_sum(n):
 def test_solve_of_every_betti_table_matches_reference(n):
     order = partitions_of(n).partitions
     for h in enumerate_hessenberg_functions(n):
-        rows = list(zip(*(p.coeffs for p in poincare_tables([h], order)[0])))
+        rows = list(map(tuple, poincare_arrays([h], order)[0].T.tolist()))
         assert _solve(n, rows) == solve_fixed_space_reference(n, rows)
 
 
