@@ -445,13 +445,12 @@ def _sweep_reports(functions: list[HessenbergFunction], which: str) -> list[_Enc
     by this process and one forked child per further usable CPU. Each worker takes chunk
     numbers from one queue pipe until it is empty, and each child pickles its reports back
     through a pipe of its own. Fork keeps the imports and memos already built; it is safe
-    because the CLI starts no other thread."""
-    workers = min(_cpu_count(), len(functions))
+    because the CLI starts no other thread. With one worker (one usable CPU, one h, or no
+    fork) this process takes every chunk and forks no child."""
+    workers = min(_cpu_count(), len(functions)) if hasattr(os, "fork") else 1
     # four chunks per worker let one that ends early take more; 1 to 16 timed alike on 2 CPUs
     size = -(-len(functions) // (workers * 4))
     chunks = [functions[i : i + size] for i in range(0, len(functions), size)]
-    if workers == 1 or not hasattr(os, "fork"):
-        return [r for chunk in chunks for r in _chunk_reports(chunk, which)]
     queue, fill = os.pipe()
     os.write(fill, b"".join(i.to_bytes(_RECORD, "little") for i in range(len(chunks))))
     os.close(fill)

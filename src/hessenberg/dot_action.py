@@ -7,8 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -64,14 +63,14 @@ class GradedRepDecomposition:
     def table(self) -> np.ndarray:
         """The Betti table N c as a read-only int64 array [partition in order, degree],
         the layout of poincare_arrays: row nu is P_nu over the degrees."""
-        table = _int64_product(fixed_space_matrix(self.order.n).array, self.c.T)
+        table = _int64_product(fixed_space_matrix(self.order.n), self.c.T)
         table.flags.writeable = False
         return table
 
     def poincare(self, nu: Partition) -> np.ndarray:
         """P_nu as an int64 array over the degrees: c times column nu of N."""
         i = self.order.index(nu)
-        return _int64_product(self.c, fixed_space_matrix(self.order.n).array[:, i : i + 1])[:, 0]
+        return _int64_product(self.c, fixed_space_matrix(self.order.n)[:, i : i + 1])[:, 0]
 
     def to_json_dict(self) -> dict:
         def table(rows):
@@ -191,34 +190,28 @@ def _sink_set_polynomials(h: HessenbergFunction) -> list[list[int]]:
 
 
 @lru_cache(maxsize=8)  # prop72 and the orientation check of one h both read it
-def orientation_histogram(h: HessenbergFunction) -> Mapping[tuple[int, int], int]:
-    """Number of acyclic orientations of the graph of h per (sink count, ascent).
+def orientation_histogram(h: HessenbergFunction) -> np.ndarray:
+    """Number of acyclic orientations of the graph of h as a read-only int64 array
+    [ascent 0..|Phi_h^-|, sink count - 1], over sink counts 1..n.
 
     F_k counts each orientation with s sinks C(s, k) times, once per k-subset
-    of its sinks, so binomial inversion gives the histogram:
-    sum over k >= s of (-1)^(k-s) C(k, s) F_k.
+    of its sinks, so binomial inversion gives the histogram: column s - 1 is
+    sum over k >= s of (-1)^(k-s) C(k, s) F_k, one int64 product of the F_k
+    with those signed binomials.
     """
-    sums = _sink_set_polynomials(h)
-    hist: dict[tuple[int, int], int] = {}
-    for s in range(1, len(sums) + 1):
-        for i in range(len(sums[0])):
-            count = sum(
-                (-1) ** (k - s) * comb(k, s) * sums[k - 1][i]
-                for k in range(s, len(sums) + 1)
-            )
-            if count:
-                hist[(s, i)] = count
-    return MappingProxyType(hist)
+    sums = np.array(_sink_set_polynomials(h), dtype=np.int64)
+    ks, ss = range(1, len(sums) + 1), range(1, h.n + 1)
+    signs = np.array([[(-1) ** (k + s) * comb(k, s) for s in ss] for k in ks], dtype=np.int64)
+    hist = _int64_product(sums.T, signs)
+    hist.flags.writeable = False
+    return hist
 
 
 def orientation_count_check(h: HessenbergFunction, dec: GradedRepDecomposition) -> CheckReport:
     """Per (sink count k, ascent i): sum of c over k-part partitions equals the
     number of acyclic orientations with k sinks and ascent i."""
-    expected = np.zeros((len(dec.c), h.n), dtype=np.int64)
-    for (k, i), count in orientation_histogram(h).items():
-        expected[i, k - 1] = count
     parts = np.array([[len(lam) == k for k in range(1, h.n + 1)] for lam in dec.order])
-    actual = dec.c @ parts  # [degree, k - 1]: c times a parts indicator
+    expected, actual = orientation_histogram(h), dec.c @ parts  # [degree, k - 1]
     failures = [
         mismatch({"sinks": k + 1, "degree": i}, int(expected[i, k]), int(actual[i, k]))
         for k, i in np.argwhere(actual.T != expected.T).tolist()

@@ -30,7 +30,7 @@ from .orientations import (
 )
 from .partitions import Partition, partitions_of
 from .reports import CheckReport, mismatch, report_from_failures
-from .roots import HessenbergFunction, Root, ideal_of, is_abelian, negative_root_count, roots_of
+from .roots import HessenbergFunction, Root, ideal_of, is_abelian, roots_of
 
 Composition2 = tuple[int, int]
 
@@ -294,12 +294,6 @@ def check_two_part_induction(h: HessenbergFunction) -> CheckReport:
     return report_from_failures("two_part_induction", params, failures)
 
 
-def _one_sink_polynomial(h: HessenbergFunction) -> np.ndarray:
-    """Trivial-representation coefficients read off one-sink orientation ascents."""
-    hist = orientation_histogram(h)
-    return np.array([hist.get((1, i), 0) for i in range(negative_root_count(h) + 1)])
-
-
 def _polynomial_report(name: str, params: dict, lhs: np.ndarray, rhs: np.ndarray) -> CheckReport:
     failures = []
     if not np.array_equal(lhs, rhs):
@@ -315,7 +309,7 @@ def check_nilpotent_poincare_recursion(h: HessenbergFunction) -> CheckReport:
     sub = _sink_set_sum(
         _restrictions(h, 2), len(dec.c), lambda h_t: decompose(h_t).poincare((n - 2,))
     )
-    lhs, rhs = dec.poincare((n,)), _one_sink_polynomial(h) + sub
+    lhs, rhs = dec.poincare((n,)), orientation_histogram(h)[:, 0] + sub
     return _polynomial_report("nilpotent_poincare_recursion", {"h": list(h.values)}, lhs, rhs)
 
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import product
 from math import factorial
 from types import MappingProxyType
@@ -123,32 +123,6 @@ def _fillings(content: tuple[int, ...]) -> Mapping[Partition, int]:
     return MappingProxyType(out)
 
 
-@dataclass(frozen=True)
-class IntegerMatrix:
-    """A square integer matrix indexed both ways by a PartitionOrder."""
-
-    order: PartitionOrder
-    rows: tuple[tuple[int, ...], ...]
-
-    def entry(self, lam: Partition, nu: Partition) -> int:
-        return self.rows[self.order.index(lam)][self.order.index(nu)]
-
-    @cached_property
-    def array(self) -> np.ndarray:
-        """The rows as a read-only int64 array, built on first use."""
-        out = np.array(self.rows, dtype=np.int64)
-        out.flags.writeable = False
-        return out
-
-    def to_json_dict(self) -> dict:
-        """Row-major entries with the partition labels attached."""
-        return {
-            "n": self.order.n,
-            "labels": [list(lam) for lam in self.order.partitions],
-            "rows": [list(row) for row in self.rows],
-        }
-
-
 def _int64_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The exact int64 product a·b. Raises NonIntegralSolution unless u·|b| < 2**62
     in float64, with u the largest |a| in each column: that keeps every partial
@@ -160,20 +134,22 @@ def _int64_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b
 
 
-@lru_cache(maxsize=None)
-def kostka_matrix(n: int) -> IntegerMatrix:
-    """K with K[nu][lam] = kostka(nu, lam); unit upper-triangular in the total order."""
-    order = partitions_of(n)
-    columns = [_fillings(lam) for lam in order.partitions]
-    rows = tuple(tuple(col.get(nu, 0) for col in columns) for nu in order.partitions)
-    return IntegerMatrix(order, rows)
+def kostka_matrix(n: int) -> np.ndarray:
+    """K as a read-only int64 array, K[nu, lam] = kostka(nu, lam) with both indexed by
+    partitions_of(n); unit upper-triangular. Built from the memoised _fillings on each
+    call: its readers _inverse_kostka and fixed_space_matrix are memoised."""
+    order = partitions_of(n).partitions
+    columns = [_fillings(lam) for lam in order]
+    out = np.array([[col.get(nu, 0) for col in columns] for nu in order], dtype=np.int64)
+    out.flags.writeable = False
+    return out
 
 
 @lru_cache(maxsize=None)
 def _inverse_kostka(n: int) -> np.ndarray:
     """The exact inverse of K as a read-only int64 array: back-substitution,
     as K is unit upper-triangular, then an exact check that K·K^-1 = I."""
-    k = kostka_matrix(n).array
+    k = kostka_matrix(n)
     inv = np.eye(len(k), dtype=np.int64)
     for i in range(len(k) - 2, -1, -1):
         inv[i, i + 1 :] = -(k[i, i + 1 :] @ inv[i + 1 :, i + 1 :])
@@ -184,10 +160,13 @@ def _inverse_kostka(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def fixed_space_matrix(n: int) -> IntegerMatrix:
-    """N = K^T K, with N[lam][nu] the dimension of the S_nu-fixed subspace of M^lam."""
-    k = kostka_matrix(n).array
-    return IntegerMatrix(partitions_of(n), tuple(map(tuple, _int64_product(k.T, k).tolist())))
+def fixed_space_matrix(n: int) -> np.ndarray:
+    """N = K^T K as a read-only int64 array indexed both ways by partitions_of(n), with
+    N[lam, nu] the dimension of the S_nu-fixed subspace of M^lam."""
+    k = kostka_matrix(n)
+    out = _int64_product(k.T, k)
+    out.flags.writeable = False
+    return out
 
 
 def solve_fixed_space_system(
@@ -198,8 +177,8 @@ def solve_fixed_space_system(
 
     N = K^T K, so with the vectors b as the rows of B, the int64 products
     D = B K^-1 (Young's rule: each row d = K c, the Specht coefficients) and
-    C = D K^-T give the tabloid coefficients. The recheck dots each row of N,
-    read from fixed_space_matrix(n) at the call, with each c to give back b.
+    C = D K^-T give the tabloid coefficients. The recheck multiplies C by the
+    array N, read from fixed_space_matrix(n) at the call, to give back B.
     A vector that fails the recheck or an overflow bound of _int64_product
     raises NonIntegralSolution.
     """
@@ -214,7 +193,7 @@ def solve_fixed_space_system(
         raise NonIntegralSolution(f"a vector at n={n} does not fit in int64") from None
     d = _int64_product(big_b, inv)
     c = _int64_product(d, inv.T)
-    wrong = np.flatnonzero((_int64_product(c, fixed_space_matrix(n).array.T) != big_b).any(axis=1))
+    wrong = np.flatnonzero((_int64_product(c, fixed_space_matrix(n).T) != big_b).any(axis=1))
     if len(wrong):
         raise NonIntegralSolution(f"N c != b for b={big_b[wrong[0]].tolist()}")
     c.flags.writeable = d.flags.writeable = False

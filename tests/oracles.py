@@ -323,9 +323,9 @@ def restrict_orientation(omega: AcyclicOrientation, T) -> AcyclicOrientation:
 def solve_fixed_space_reference(n: int, rows):
     """N c = b for each b in rows in plain Python ints, as (C, D): the forward
     pass K^T d = b, then the back pass K c = d, each c rechecked against N."""
-    k = kostka_matrix(n).rows
+    k = kostka_matrix(n).tolist()
     m = len(k)
-    n_rows = fixed_space_matrix(n).rows
+    n_rows = fixed_space_matrix(n).tolist()
     c_rows, d_rows = [], []
     for b in rows:
         if len(b) != m:
@@ -345,7 +345,7 @@ def solve_fixed_space_reference(n: int, rows):
 
 def fixed_space_reference(n: int) -> tuple[tuple[int, ...], ...]:
     """N = K^T K by the triple sum over plain Python ints."""
-    k = kostka_matrix(n).rows
+    k = kostka_matrix(n).tolist()
     m = len(k)
     return tuple(
         tuple(sum(k[mu][a] * k[mu][b] for mu in range(m)) for b in range(m)) for a in range(m)
