@@ -26,6 +26,8 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Any, NamedTuple, NoReturn, Optional, Sequence
 
+import numpy as np
+
 from .betti import SizeGuard, poincare_polynomial, poincare_size_guard
 from .dot_action import (
     CHROMATIC_MAX_N,
@@ -86,7 +88,7 @@ class TableCache:
     Betti table in partitions_of(n) order and the _digest of h and those rows.
 
     An entry that cannot be read, stores another h, does not hold one row of |Phi_h^-| + 1
-    integers per partition, or fails its digest is a miss: one warning goes to stderr and
+    int64 integers per partition, or fails its digest is a miss: one warning goes to stderr and
     the entry is rewritten. Entries are written to a temporary file in the cache
     directory and renamed into place, so no reader sees a partly written entry.
     """
@@ -98,9 +100,7 @@ class TableCache:
     def decompose(self, h: HessenbergFunction) -> GradedRepDecomposition:
         """The decomposition of h, solved from its stored table, or decompose(h) on a miss."""
         path = self.root / f"{_partition_key(h.values)}.json"
-        order = partitions_of(h.n).partitions
-        size = negative_root_count(h) + 1
-        rows = self._read(path, list(h.values), len(order), size)
+        rows = self._read(path, list(h.values), len(partitions_of(h.n)), negative_root_count(h) + 1)
         if rows is not None:
             return decompose_tables([h], [rows])[0]
         dec = decompose(h)
@@ -109,8 +109,8 @@ class TableCache:
         return dec
 
     @staticmethod
-    def _read(path: Path, h: list[int], count: int, size: int) -> Optional[list[list[int]]]:
-        """The stored rows, or None for a missing or unusable entry."""
+    def _read(path: Path, h: list[int], count: int, size: int) -> Optional[np.ndarray]:
+        """The stored rows as an int64 array, or None for a missing or unusable entry."""
         try:
             payload = json.loads(path.read_text())
             rows = payload["rows"]
@@ -124,9 +124,11 @@ class TableCache:
             elif payload.get("sha256") != _digest(h, rows):
                 problem = "fails its sha256 digest"
             else:
-                return rows
+                return np.array(rows, dtype=np.int64)
         except FileNotFoundError:
             return None
+        except OverflowError:  # an integer beyond int64
+            problem = "has malformed rows"
         except (OSError, ValueError, KeyError, TypeError) as exc:
             problem = f"is unreadable ({type(exc).__name__})"
         print(f"hessenberg: cache entry {path} {problem}; recomputing it", file=sys.stderr)

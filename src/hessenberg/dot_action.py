@@ -16,8 +16,8 @@ from .orientations import build_graph, max_sink_set_size
 from .partitions import (
     Partition,
     PartitionOrder,
-    SizeMismatch,
     _int64_product,
+    _require_int64,
     dual_partition,
     fixed_space_matrix,
     partitions_of,
@@ -32,28 +32,31 @@ CHROMATIC_MAX_N = 6  # largest n for the brute-force coloring walk; verify skips
 
 @dataclass(frozen=True, eq=False)
 class GradedRepDecomposition:
-    """Integer coefficients c (tabloid basis) and d = K c (Specht basis) of h, as read-only
-    int64 arrays [degree, partition index]. Any integer sequences of rows may be given
-    for c and d; equality compares their values. The Betti table is not kept: table and
-    poincare read it as N c, which the solve that made c checked against the engine."""
+    """Integer coefficients c (tabloid basis) and d = K c (Specht basis) of h: int64 arrays
+    [degree 0..|Phi_h^-|, partition in order], made read-only (another form raises TypeError,
+    another shape SizeMismatch), equal when their values are. The Betti table is not kept:
+    table and poincare read it as N c, which the solve that made c checked against the engine."""
 
     h: HessenbergFunction
-    order: PartitionOrder
     c: np.ndarray
     d: np.ndarray
     max_sinks: int
 
     def __post_init__(self):
+        shape = (negative_root_count(self.h) + 1, len(self.order))
         for name in ("c", "d"):
-            rows = np.array(getattr(self, name), dtype=np.int64).reshape(-1, len(self.order))
-            rows.flags.writeable = False
-            object.__setattr__(self, name, rows)
+            _require_int64(getattr(self, name), shape, f"{name} of h={self.h}")
+            getattr(self, name).flags.writeable = False
 
     def _values(self) -> tuple:
-        return self.h, self.order, self.max_sinks, self.c.tobytes(), self.d.tobytes()
+        return self.h, self.max_sinks, self.c.tobytes(), self.d.tobytes()
 
     def __eq__(self, other) -> bool:
         return isinstance(other, GradedRepDecomposition) and self._values() == other._values()
+
+    @property
+    def order(self) -> PartitionOrder:
+        return partitions_of(self.h.n)
 
     @property
     def degrees(self) -> range:
@@ -93,25 +96,24 @@ class GradedRepDecomposition:
 
 
 def decompose_tables(
-    hs: Sequence[HessenbergFunction], tables: Sequence
+    hs: Sequence[HessenbergFunction], tables: Sequence[np.ndarray]
 ) -> list[GradedRepDecomposition]:
-    """Per h in hs, which share n, with its Betti table as integer rows [partition in
+    """Per h in hs, which share n, with its Betti table as an int64 array [partition in
     partitions_of(n), degree 0..|Phi_h^-|], as poincare_arrays gives it: solve N c_i =
     (Betti vector at degree i) for every degree, with d_i = K c_i, in one solve over
-    the stacked degrees of every h. A table of another shape raises SizeMismatch."""
+    the stacked degrees of every h, each h given its own copy of its rows of c and d. A
+    table of another form raises TypeError, and one of another shape SizeMismatch."""
     order = partitions_of(hs[0].n)
     stack = []
     for h, table in zip(hs, tables, strict=True):
-        shape = (len(order), negative_root_count(h) + 1)
-        if np.shape(table) != shape:
-            raise SizeMismatch(f"the Betti table of h={h} has shape {np.shape(table)}, not {shape}")
-        stack.append(np.asarray(table).T)
+        _require_int64(table, (len(order), negative_root_count(h) + 1), f"the Betti table of h={h}")
+        stack.append(table.T)
     c, d = solve_fixed_space_system(order.n, np.concatenate(stack))
     out, start = [], 0
     for h, rows in zip(hs, stack):
         end = start + len(rows)
         sinks = max_sink_set_size(build_graph(h))
-        out.append(GradedRepDecomposition(h, order, c[start:end], d[start:end], sinks))
+        out.append(GradedRepDecomposition(h, c[start:end].copy(), d[start:end].copy(), sinks))
         start = end
     return out
 

@@ -56,32 +56,6 @@ def _sinks_and_asc(graph: IncomparabilityGraph, rightward) -> tuple[tuple[int, .
     return sinks, sum(rightward)
 
 
-def orientation(graph: IncomparabilityGraph, rightward: Iterable[bool]) -> AcyclicOrientation:
-    """Build an orientation from its direction vector, verifying acyclicity."""
-    bits = tuple(bool(b) for b in rightward)
-    if len(bits) != len(graph.edges):
-        raise ValueError("direction vector length does not match edge count")
-    indeg = [0] * (graph.n + 1)
-    out: list[list[int]] = [[] for _ in range(graph.n + 1)]
-    for (j, i), right in zip(graph.edges, bits):
-        u, v = (j, i) if right else (i, j)
-        out[u].append(v)
-        indeg[v] += 1
-    queue = [v for v in range(1, graph.n + 1) if indeg[v] == 0]
-    seen = 0
-    while queue:
-        u = queue.pop()
-        seen += 1
-        for v in out[u]:
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                queue.append(v)
-    if seen != graph.n:
-        raise ValueError("direction vector induces a directed cycle")
-    sinks, asc = _sinks_and_asc(graph, bits)
-    return AcyclicOrientation(graph, bits, sinks, asc)
-
-
 def enumerate_acyclic_orientations(graph: IncomparabilityGraph) -> Iterator[AcyclicOrientation]:
     """Every acyclic orientation once, in binary order of the direction vector.
 

@@ -1,6 +1,7 @@
 """Partitions, Kostka numbers, the fixed-space matrix N = K^T K, tableau counts,
-and the one exact solve of N c = b, as int64 products with the inverse of K
-under overflow bounds, which yields both c and d = K c."""
+and the one exact solve of N c = b on int64 arrays only: int64 products with the
+inverse of K under overflow bounds, which yield both c and d = K c. K, K^-1 and N
+come from one memoised build per n."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ from functools import lru_cache
 from itertools import product
 from math import factorial
 from types import MappingProxyType
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -134,66 +135,58 @@ def _int64_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b
 
 
-def kostka_matrix(n: int) -> np.ndarray:
-    """K as a read-only int64 array, K[nu, lam] = kostka(nu, lam) with both indexed by
-    partitions_of(n); unit upper-triangular. Built from the memoised _fillings on each
-    call: its readers _inverse_kostka and fixed_space_matrix are memoised."""
+@lru_cache(maxsize=None)
+def _kostka_arrays(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(K, K^-1, N) as read-only int64 arrays from one build of K: K is unit upper-triangular,
+    so K^-1 comes by back-substitution, then an exact check that K·K^-1 = I."""
     order = partitions_of(n).partitions
     columns = [_fillings(lam) for lam in order]
-    out = np.array([[col.get(nu, 0) for col in columns] for nu in order], dtype=np.int64)
-    out.flags.writeable = False
-    return out
-
-
-@lru_cache(maxsize=None)
-def _inverse_kostka(n: int) -> np.ndarray:
-    """The exact inverse of K as a read-only int64 array: back-substitution,
-    as K is unit upper-triangular, then an exact check that K·K^-1 = I."""
-    k = kostka_matrix(n)
+    k = np.array([[col.get(nu, 0) for col in columns] for nu in order], dtype=np.int64)
     inv = np.eye(len(k), dtype=np.int64)
     for i in range(len(k) - 2, -1, -1):
         inv[i, i + 1 :] = -(k[i, i + 1 :] @ inv[i + 1 :, i + 1 :])
     if not np.array_equal(_int64_product(k, inv), np.eye(len(k), dtype=np.int64)):
         raise ArithmeticError(f"K times its computed inverse is not I at n={n}")
-    inv.flags.writeable = False
-    return inv
-
-
-@lru_cache(maxsize=None)
-def fixed_space_matrix(n: int) -> np.ndarray:
-    """N = K^T K as a read-only int64 array indexed both ways by partitions_of(n), with
-    N[lam, nu] the dimension of the S_nu-fixed subspace of M^lam."""
-    k = kostka_matrix(n)
-    out = _int64_product(k.T, k)
-    out.flags.writeable = False
+    out = k, inv, _int64_product(k.T, k)
+    for array in out:
+        array.flags.writeable = False
     return out
 
 
-def solve_fixed_space_system(
-    n: int, rows: Sequence[Sequence[int]] | np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The unique integer solutions of N c = b, one per vector b in rows (a sequence of
-    integer sequences or a 2-D integer array), as read-only int64 arrays (C, D).
+def kostka_matrix(n: int) -> np.ndarray:
+    """K[nu, lam] = kostka(nu, lam), read-only int64, both indexed by partitions_of(n)."""
+    return _kostka_arrays(n)[0]
 
-    N = K^T K, so with the vectors b as the rows of B, the int64 products
-    D = B K^-1 (Young's rule: each row d = K c, the Specht coefficients) and
-    C = D K^-T give the tabloid coefficients. The recheck multiplies C by the
-    array N, read from fixed_space_matrix(n) at the call, to give back B.
-    A vector that fails the recheck or an overflow bound of _int64_product
-    raises NonIntegralSolution.
+
+def fixed_space_matrix(n: int) -> np.ndarray:
+    """N = K^T K as a read-only int64 array indexed both ways by partitions_of(n), with
+    N[lam, nu] the dimension of the S_nu-fixed subspace of M^lam."""
+    return _kostka_arrays(n)[2]
+
+
+def _require_int64(rows, shape: tuple[int, ...], what: str) -> None:
+    """rows must be an int64 array (else TypeError) of the given shape (else SizeMismatch)."""
+    if not (isinstance(rows, np.ndarray) and rows.dtype == np.int64 and rows.ndim == len(shape)):
+        raise TypeError(f"{what} must be a {len(shape)}-D int64 array")
+    if rows.shape != shape:
+        raise SizeMismatch(f"{what} has shape {rows.shape}, not {shape}")
+
+
+def solve_fixed_space_system(n: int, big_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The unique integer solutions of N c = b, one per row b of the 2-D int64 array big_b,
+    as read-only int64 arrays (C, D). Any other input raises TypeError, and rows of
+    another width than p(n) SizeMismatch.
+
+    N = K^T K, so the int64 products D = B K^-1 (Young's rule: each row d = K c, the
+    Specht coefficients) and C = D K^-T give the tabloid coefficients. The recheck
+    multiplies C by N to give back B. A row that fails it or an overflow bound of
+    _int64_product raises NonIntegralSolution.
     """
-    inv = _inverse_kostka(n)
-    m = len(inv)
-    for length in rows.shape[1:] if isinstance(rows, np.ndarray) else map(len, rows):
-        if length != m:
-            raise SizeMismatch(f"vector length {length} != {m} partitions of {n}")
-    try:
-        big_b = np.asarray(rows, dtype=np.int64).reshape(len(rows), m)
-    except OverflowError:
-        raise NonIntegralSolution(f"a vector at n={n} does not fit in int64") from None
+    _, inv, fixed = _kostka_arrays(n)
+    _require_int64(big_b, (len(big_b), len(inv)), f"b at n={n}")
     d = _int64_product(big_b, inv)
     c = _int64_product(d, inv.T)
-    wrong = np.flatnonzero((_int64_product(c, fixed_space_matrix(n).T) != big_b).any(axis=1))
+    wrong = np.flatnonzero((_int64_product(c, fixed.T) != big_b).any(axis=1))
     if len(wrong):
         raise NonIntegralSolution(f"N c != b for b={big_b[wrong[0]].tolist()}")
     c.flags.writeable = d.flags.writeable = False

@@ -744,7 +744,16 @@ DAMAGE = {
         ),
     ),
     "3,3,3": ("sha256", lambda good: json.dumps({k: v for k, v in good.items() if k != "sha256"})),
+    # rows[0][0] is 2**63, one beyond int64, under a sha256 recomputed to match it
+    "2,2,4,4": ("malformed", lambda good: _redigested(good, [[2**63] + good["rows"][0][1:]])),
 }
+
+
+def _redigested(good, first_rows):
+    """The entry good with its leading rows replaced and its sha256 recomputed to match."""
+    rows = first_rows + good["rows"][len(first_rows) :]
+    digest = hashlib.sha256(json.dumps([good["h"], rows]).encode()).hexdigest()
+    return json.dumps({**good, "rows": rows, "sha256": digest})
 
 
 def test_cache_damaged_entries_are_misses(tmp_path, capsys):

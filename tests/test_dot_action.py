@@ -29,6 +29,7 @@ from hessenberg.partitions import (
     fixed_space_matrix,
     kostka_matrix,
     partitions_of,
+    solve_fixed_space_system,
 )
 from hessenberg.roots import (
     enumerate_hessenberg_functions,
@@ -300,16 +301,31 @@ def test_decomposition_arrays_are_read_only_int64():
     assert dec.table.shape == (len(dec.order), len(dec.degrees))
 
 
-def test_replace_with_integer_sequences_builds_an_equal_decomposition():
+def test_replace_with_int64_arrays_builds_an_equal_decomposition():
     dec = decompose(validate_hessenberg([2, 3, 4, 5, 5]))
-    rows = tuple(map(tuple, dec.c.tolist()))
-    again = dataclasses.replace(dec, c=rows, d=[list(row) for row in dec.d.tolist()])
+    again = dataclasses.replace(dec, c=dec.c.copy(), d=np.array(dec.d.tolist(), dtype=np.int64))
     assert again == dec and again is not dec
     assert again.c.dtype == np.int64 and not again.c.flags.writeable
-    bumped = [list(row) for row in rows]
-    bumped[1][0] += 1
+    bumped = dec.c.copy()
+    bumped[1, 0] += 1
     assert dataclasses.replace(dec, c=bumped) != dec
     assert dataclasses.replace(dec, max_sinks=dec.max_sinks + 1) != dec
+
+
+def test_solve_and_decompositions_take_only_int64_arrays():
+    # a list, a float array or an int32 array is refused where the int64 rows go in
+    dec = decompose(validate_hessenberg([2, 3, 4, 5, 5]))
+    table = dec.table
+    forms = (np.ndarray.tolist, lambda a: a.astype(np.float64), lambda a: a.astype(np.int32))
+    for convert in forms:
+        with pytest.raises(TypeError):
+            solve_fixed_space_system(5, convert(table.T))
+        with pytest.raises(TypeError):
+            decompose_tables([dec.h], [convert(table)])
+        with pytest.raises(TypeError):
+            dataclasses.replace(dec, c=convert(dec.c))
+    with pytest.raises(SizeMismatch):
+        dataclasses.replace(dec, d=dec.d[:-1])
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -506,11 +522,11 @@ def _perturbed_decomposition():
     """decompose(2,3,4,5,5) with c_{(2,2,1),2} raised by one and d = K c recomputed."""
     h = validate_hessenberg([2, 3, 4, 5, 5])
     dec = decompose(h)
-    c = [list(row) for row in dec.c]
-    c[2][dec.order.index((2, 2, 1))] += 1
+    c = dec.c.copy()
+    c[2, dec.order.index((2, 2, 1))] += 1
     k = kostka_matrix(h.n).tolist()
-    d = tuple(tuple(sum(a * b for a, b in zip(k_row, row)) for k_row in k) for row in c)
-    return h, dataclasses.replace(dec, c=tuple(map(tuple, c)), d=d)
+    d = [[sum(a * b for a, b in zip(k_row, row)) for k_row in k] for row in c.tolist()]
+    return h, dataclasses.replace(dec, c=c, d=np.array(d, dtype=np.int64))
 
 
 def _failed(check, failures):
@@ -550,8 +566,8 @@ def test_gasharov_check_failure_report():
 
 def test_failure_certificates_hold_plain_ints():
     h, dec = _perturbed_decomposition()
-    c = [list(row) for row in dec.c.tolist()]
-    c[3][dec.order.index((5,))] = -1
+    c = dec.c.copy()
+    c[3, dec.order.index((5,))] = -1
     negative = dataclasses.replace(dec, c=c)
     reports = [
         orientation_count_check(h, dec),

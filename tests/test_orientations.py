@@ -9,7 +9,6 @@ from hessenberg.orientations import (
     degree_of,
     enumerate_acyclic_orientations,
     max_sink_set_size,
-    orientation,
     restrict,
     sink_sets,
 )
@@ -83,12 +82,6 @@ def test_every_orientation_has_a_sink():
     for h in all_h(5):
         for o in enumerate_acyclic_orientations(build_graph(h)):
             assert len(o.sinks) >= 1
-
-
-def test_orientation_constructor_rejects_cycles():
-    g = build_graph(validate_hessenberg([3, 3, 3]))  # triangle
-    with pytest.raises(ValueError):
-        orientation(g, (True, False, True))  # 1->2, 3->1, 2->3
 
 
 def test_sink_sets_examples():

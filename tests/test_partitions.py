@@ -171,9 +171,9 @@ def test_two_row_closed_form_matches_ssyt_matrix(n):
             assert mat[at(lam), at(nu)] == expected
 
 
-def _solve(n, rows):
+def _solve(n, big_b):
     """solve_fixed_space_system with its (C, D) arrays read back as tuples of rows."""
-    c, d = solve_fixed_space_system(n, rows)
+    c, d = solve_fixed_space_system(n, big_b)
     return tuple(map(tuple, c.tolist())), tuple(map(tuple, d.tolist()))
 
 
@@ -181,12 +181,16 @@ def _times(rows, c):
     return tuple(sum(r * x for r, x in zip(row, c)) for row in rows)
 
 
+def _int64(rows):
+    return np.array(rows, dtype=np.int64)
+
+
 def test_solve_unit_vectors_round_trip():
     # N is symmetric, so its rows are the images N e_k of the unit vectors
     for n in range(1, 7):
-        rows = fixed_space_matrix(n).tolist()
-        m = len(rows)
-        c, _ = _solve(n, rows)
+        big_n = fixed_space_matrix(n)
+        m = len(big_n)
+        c, _ = _solve(n, big_n)
         assert c == tuple(tuple(int(i == k) for i in range(m)) for k in range(m))
 
 
@@ -196,39 +200,39 @@ def test_solve_random_round_trip():
         rows = fixed_space_matrix(n).tolist()
         m = len(rows)
         c_true = tuple(tuple(rng.randint(-9, 9) for _ in range(m)) for _ in range(10))
-        c, _ = _solve(n, [_times(rows, c_row) for c_row in c_true])
+        c, _ = _solve(n, _int64([_times(rows, c_row) for c_row in c_true]))
         assert c == c_true
 
 
 def test_solve_takes_and_gives_int64_arrays():
-    # one stacked array in, read-only int64 arrays of C and D out, as for rows
+    # one stacked array in, read-only int64 arrays of C and D out
     n = 5
-    rows = fixed_space_matrix(n).tolist()
-    c, d = solve_fixed_space_system(n, np.array(rows[:3], dtype=np.int64))
+    big_n = fixed_space_matrix(n)
+    c, d = solve_fixed_space_system(n, big_n[:3])
     for out in (c, d):
-        assert out.dtype == np.int64 and out.shape == (3, len(rows)) and not out.flags.writeable
-    assert _solve(n, rows[:3]) == (tuple(map(tuple, c.tolist())), tuple(map(tuple, d.tolist())))
+        assert out.dtype == np.int64 and out.shape == (3, len(big_n)) and not out.flags.writeable
+    assert _solve(n, big_n[:3]) == solve_fixed_space_reference(n, big_n[:3].tolist())
     with pytest.raises(SizeMismatch):
-        solve_fixed_space_system(n, np.zeros((2, len(rows) - 1), dtype=np.int64))
+        solve_fixed_space_system(n, np.zeros((2, len(big_n) - 1), dtype=np.int64))
 
 
 def test_solve_rejects_wrong_length():
     with pytest.raises(SizeMismatch):
-        _solve(4, [[1, 2, 3]])
+        _solve(4, _int64([[1, 2, 3]]))
 
 
 def test_solve_recheck_is_live(monkeypatch):
     # with one entry of N raised by one, the solved c no longer gives back b
     n = 4
-    true_rows = fixed_space_matrix(n).tolist()
-    b = _times(true_rows, (1, 0, 2, 0, 1))
-    bumped = np.array(true_rows, dtype=np.int64)
+    k, inv, big_n = partitions._kostka_arrays(n)
+    b = _int64([_times(big_n.tolist(), (1, 0, 2, 0, 1))])
+    bumped = big_n.copy()
     bumped[1, 2] += 1
-    monkeypatch.setattr(partitions, "fixed_space_matrix", lambda size: bumped)
+    monkeypatch.setattr(partitions, "_kostka_arrays", lambda size: (k, inv, bumped))
     with pytest.raises(NonIntegralSolution):
-        _solve(n, [b])
+        _solve(n, b)
     monkeypatch.undo()
-    assert _solve(n, [b])[0] == ((1, 0, 2, 0, 1),)
+    assert _solve(n, b)[0] == ((1, 0, 2, 0, 1),)
 
 
 @pytest.mark.parametrize("n", range(2, 7))
@@ -245,9 +249,7 @@ def test_truncated_solve_agrees(n):
         sub_k = [[k_rows[i][j] for j in keep] for i in keep]
         for _ in range(5):
             c_true = tuple(rng.randint(-5, 5) if i < cut else 0 for i in range(len(order)))
-            (c,), (d,) = _solve(
-                n, [_times(fixed_space_matrix(n).tolist(), c_true)]
-            )
+            (c,), (d,) = _solve(n, _int64([_times(fixed_space_matrix(n).tolist(), c_true)]))
             assert c == c_true
             assert d[:cut] == _times(sub_k, c_true[:cut])
             assert not any(d[cut:])
@@ -256,9 +258,9 @@ def test_truncated_solve_agrees(n):
 def test_young_rule_examples():
     # the unit vector e_k solves N c = N e_k, and d = K e_k is column k of K
     for n in range(1, 7):
-        rows = fixed_space_matrix(n).tolist()
-        _, (d_first, d_last) = _solve(n, [rows[0], rows[-1]])
-        assert d_first == (1,) + (0,) * (len(rows) - 1)  # M^(n) is irreducible
+        big_n = fixed_space_matrix(n)
+        _, (d_first, d_last) = _solve(n, big_n[[0, -1]])
+        assert d_first == (1,) + (0,) * (len(big_n) - 1)  # M^(n) is irreducible
         for value, lam in zip(d_last, partitions_of(n).partitions):
             assert value == hook_length_count(lam)  # standard tableaux counts
 
@@ -270,7 +272,7 @@ def test_young_rule_round_trip():
         rows = fixed_space_matrix(n).tolist()
         m = len(rows)
         c_true = [rng.randint(-9, 9) for _ in range(m)]
-        (c,), (d,) = _solve(n, [_times(rows, c_true)])
+        (c,), (d,) = _solve(n, _int64([_times(rows, c_true)]))
         assert c == tuple(c_true)
         assert d == _times(kostka_matrix(n).tolist(), c_true)
 
@@ -284,8 +286,8 @@ def test_fixed_space_matrix_is_the_python_triple_sum(n):
 def test_solve_of_every_betti_table_matches_reference(n):
     order = partitions_of(n).partitions
     for h in enumerate_hessenberg_functions(n):
-        rows = list(map(tuple, poincare_arrays([h], order)[0].T.tolist()))
-        assert _solve(n, rows) == solve_fixed_space_reference(n, rows)
+        big_b = poincare_arrays([h], order)[0].T
+        assert _solve(n, big_b) == solve_fixed_space_reference(n, big_b.tolist())
 
 
 @pytest.mark.parametrize("n", range(1, 14))
@@ -294,46 +296,64 @@ def test_solve_of_large_random_vectors_matches_reference(n):
     rows = fixed_space_matrix(n).tolist()
     c_true = [[rng.randint(-10**6, 10**6) for _ in rows] for _ in range(4)]
     b = [_times(rows, c_row) for c_row in c_true]
-    c, d = _solve(n, b)
+    c, d = _solve(n, _int64(b))
     assert (c, d) == solve_fixed_space_reference(n, b)
     assert c == tuple(map(tuple, c_true))
 
 
 def test_solve_of_every_row_of_n_at_13_matches_reference():
-    rows = fixed_space_matrix(13).tolist()
-    assert _solve(13, rows) == solve_fixed_space_reference(13, rows)
+    big_n = fixed_space_matrix(13)
+    assert _solve(13, big_n) == solve_fixed_space_reference(13, big_n.tolist())
 
 
-@pytest.mark.parametrize("entry", [2**62, -(2**62), 2**63 - 1, -(2**63), 2**70])
+@pytest.mark.parametrize("entry", [2**62, -(2**62), 2**63 - 1, -(2**63)])
 def test_solve_rejects_vectors_that_could_overflow(entry):
-    b = [0] * len(partitions_of(5))
-    b[-1] = entry
+    big_b = np.zeros((2, len(partitions_of(5))), dtype=np.int64)
+    big_b[0] = fixed_space_matrix(5)[0]
+    big_b[1, -1] = entry
     with pytest.raises(NonIntegralSolution) as caught:
-        _solve(5, [fixed_space_matrix(5).tolist()[0], b])
+        _solve(5, big_b)
     assert "\n" not in str(caught.value)
 
 
 def test_solve_recheck_catches_a_wrong_inverse(monkeypatch):
     n = 5
-    wrong = partitions._inverse_kostka(n).copy()
+    k, inv, big_n = partitions._kostka_arrays(n)
+    wrong = inv.copy()
     wrong[0, -1] += 1
-    monkeypatch.setattr(partitions, "_inverse_kostka", lambda size: wrong)
+    monkeypatch.setattr(partitions, "_kostka_arrays", lambda size: (k, wrong, big_n))
     with pytest.raises(NonIntegralSolution):
-        _solve(n, [fixed_space_matrix(n).tolist()[-1]])
+        _solve(n, big_n[-1:])
 
 
 def test_inverse_kostka_check_is_live(monkeypatch):
     # a K whose diagonal is not all ones has no inverse by unit back-substitution
     n = 4
-    rows = kostka_matrix(n).copy()
-    rows[-1, -1] = 2
-    monkeypatch.setattr(partitions, "kostka_matrix", lambda size: rows)
-    partitions._inverse_kostka.cache_clear()
+    last = partitions_of(n).partitions[-1]
+    fillings = partitions._fillings
+
+    def doubled_corner(lam):  # K[last, last] = 2
+        return {**fillings(lam), last: 2} if lam == last else fillings(lam)
+
+    monkeypatch.setattr(partitions, "_fillings", doubled_corner)
+    partitions._kostka_arrays.cache_clear()
     try:
         with pytest.raises(ArithmeticError):
-            partitions._inverse_kostka(n)
+            partitions._kostka_arrays(n)
     finally:
-        partitions._inverse_kostka.cache_clear()
+        partitions._kostka_arrays.cache_clear()
+
+
+def test_kostka_arrays_are_built_once_per_n():
+    # the solve, kostka_matrix and fixed_space_matrix all read one memoised build per n
+    partitions._kostka_arrays.cache_clear()
+    ns = range(1, 9)
+    for n in ns:
+        big_n = fixed_space_matrix(n)
+        solve_fixed_space_system(n, big_n)
+        assert kostka_matrix(n) is partitions._kostka_arrays(n)[0]
+        assert fixed_space_matrix(n) is big_n
+    assert partitions._kostka_arrays.cache_info().misses == len(ns)
 
 
 def test_ph_tableaux_golden():
