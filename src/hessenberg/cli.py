@@ -232,10 +232,12 @@ def cmd_analyze(args, out) -> int:
 def cmd_decompose(args, out) -> int:
     h = _parse_h(args.h)
     _guard(h.n, args.max_n)
+    poincare_size_guard(h.n)
     dec = TableCache(Path(args.cache_dir)).decompose(h) if args.cache_dir else decompose(h)
     positivity = e_positivity_report(h, dec)
-    c, d = dec.c.tolist(), dec.d.tolist()
+    c = dec.c.tolist()
     if args.format == "csv":
+        d = dec.d.tolist()
         writer = csv.writer(out)
         writer.writerow(["degree", "lambda", "c", "d"])
         for i in dec.degrees:
@@ -265,6 +267,7 @@ def cmd_decompose(args, out) -> int:
 def cmd_betti(args, out) -> int:
     h = _parse_h(args.h)
     _guard(h.n, args.max_n)
+    poincare_size_guard(h.n)
     if args.nu is not None:
         nu = _parse_composition(args.nu, h.n)
         nus, table = [nu], [poincare_polynomial(nu, h).tolist()]

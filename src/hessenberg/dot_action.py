@@ -1,6 +1,6 @@
 """Graded tabloid/Specht decomposition of the symmetric-group action on the cohomology of
-a regular semisimple Hessenberg variety, memoised per h as int64 arrays (decompositions),
-and independent oracles."""
+a regular semisimple Hessenberg variety, memoised per h as its int64 array c alone
+(decompositions): d, the Betti table and P_nu are read from c. And independent oracles."""
 
 from __future__ import annotations
 
@@ -20,6 +20,7 @@ from .partitions import (
     _require_int64,
     dual_partition,
     fixed_space_matrix,
+    kostka_matrix,
     partitions_of,
     ph_tableaux_counts,
     solve_fixed_space_system,
@@ -30,26 +31,30 @@ from .roots import HessenbergFunction, is_abelian, negative_root_count
 CHROMATIC_MAX_N = 6  # largest n for the brute-force coloring walk; verify skips it above
 
 
+def poincare_of(c: np.ndarray, nu: Partition) -> np.ndarray:
+    """P_nu over the degrees: c, int64 [degree, partition of |nu|], times column nu of N."""
+    i = partitions_of(sum(nu)).index(nu)
+    return _int64_product(c, fixed_space_matrix(sum(nu))[:, i : i + 1])[:, 0]
+
+
 @dataclass(frozen=True, eq=False)
 class GradedRepDecomposition:
-    """Integer coefficients c (tabloid basis) and d = K c (Specht basis) of h: int64 arrays
-    [degree 0..|Phi_h^-|, partition in order], made read-only (another form raises TypeError,
-    another shape SizeMismatch), equal when their values are. The Betti table is not kept:
-    table and poincare read it as N c, which the solve that made c checked against the engine."""
+    """Integer tabloid coefficients c of h: a read-only int64 array [degree 0..|Phi_h^-|,
+    partition in order] (another form raises TypeError, another shape SizeMismatch), equal
+    when their values are. Nothing derived is kept: d = K c, the Betti table N c and P_nu
+    are read from c, whose solve checked N c against the engine."""
 
     h: HessenbergFunction
     c: np.ndarray
-    d: np.ndarray
     max_sinks: int
 
     def __post_init__(self):
         shape = (negative_root_count(self.h) + 1, len(self.order))
-        for name in ("c", "d"):
-            _require_int64(getattr(self, name), shape, f"{name} of h={self.h}")
-            getattr(self, name).flags.writeable = False
+        _require_int64(self.c, shape, f"c of h={self.h}")
+        self.c.flags.writeable = False
 
     def _values(self) -> tuple:
-        return self.h, self.max_sinks, self.c.tobytes(), self.d.tobytes()
+        return self.h, self.max_sinks, self.c.tobytes()
 
     def __eq__(self, other) -> bool:
         return isinstance(other, GradedRepDecomposition) and self._values() == other._values()
@@ -63,17 +68,19 @@ class GradedRepDecomposition:
         return range(len(self.c))
 
     @property
+    def d(self) -> np.ndarray:
+        """The Specht coefficients d = K c (Young's rule), read-only int64, laid out as c."""
+        return _int64_product(self.c, kostka_matrix(self.order.n).T)
+
+    @property
     def table(self) -> np.ndarray:
         """The Betti table N c as a read-only int64 array [partition in order, degree],
         the layout of poincare_arrays: row nu is P_nu over the degrees."""
-        table = _int64_product(fixed_space_matrix(self.order.n), self.c.T)
-        table.flags.writeable = False
-        return table
+        return _int64_product(fixed_space_matrix(self.order.n), self.c.T)
 
     def poincare(self, nu: Partition) -> np.ndarray:
-        """P_nu as an int64 array over the degrees: c times column nu of N."""
-        i = self.order.index(nu)
-        return _int64_product(self.c, fixed_space_matrix(self.order.n)[:, i : i + 1])[:, 0]
+        """P_nu as an int64 array over the degrees: poincare_of(c, nu)."""
+        return poincare_of(self.c, nu)
 
     def to_json_dict(self) -> dict:
         def table(rows):
@@ -100,20 +107,20 @@ def decompose_tables(
 ) -> list[GradedRepDecomposition]:
     """Per h in hs, which share n, with its Betti table as an int64 array [partition in
     partitions_of(n), degree 0..|Phi_h^-|], as poincare_arrays gives it: solve N c_i =
-    (Betti vector at degree i) for every degree, with d_i = K c_i, in one solve over
-    the stacked degrees of every h, each h given its own copy of its rows of c and d. A
-    table of another form raises TypeError, and one of another shape SizeMismatch."""
+    (Betti vector at degree i) for every degree in one solve over the stacked degrees
+    of every h, each h given its own copy of its rows of c. A table of another form
+    raises TypeError, and one of another shape SizeMismatch."""
     order = partitions_of(hs[0].n)
     stack = []
     for h, table in zip(hs, tables, strict=True):
         _require_int64(table, (len(order), negative_root_count(h) + 1), f"the Betti table of h={h}")
         stack.append(table.T)
-    c, d = solve_fixed_space_system(order.n, np.concatenate(stack))
+    c = solve_fixed_space_system(order.n, np.concatenate(stack))
     out, start = [], 0
     for h, rows in zip(hs, stack):
         end = start + len(rows)
         sinks = max_sink_set_size(build_graph(h))
-        out.append(GradedRepDecomposition(h, c[start:end].copy(), d[start:end].copy(), sinks))
+        out.append(GradedRepDecomposition(h, c[start:end].copy(), sinks))
         start = end
     return out
 
@@ -204,9 +211,7 @@ def orientation_histogram(h: HessenbergFunction) -> np.ndarray:
     sums = np.array(_sink_set_polynomials(h), dtype=np.int64)
     ks, ss = range(1, len(sums) + 1), range(1, h.n + 1)
     signs = np.array([[(-1) ** (k + s) * comb(k, s) for s in ss] for k in ks], dtype=np.int64)
-    hist = _int64_product(sums.T, signs)
-    hist.flags.writeable = False
-    return hist
+    return _int64_product(sums.T, signs)
 
 
 def orientation_count_check(h: HessenbergFunction, dec: GradedRepDecomposition) -> CheckReport:

@@ -1,6 +1,7 @@
 """Machine verification of the inductive identities: slice permutations,
 coset bijections, degree shifts, the two-part induction formula, the Poincaré
-recursions, and the maximal-sink-set conjecture checker."""
+recursions, and the maximal-sink-set conjecture checker. The last four all read
+one shifted sum over sink sets, sum over T in SK_k of t^(deg T) c(h_T)."""
 
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from .betti import (
     perm_inverse,
     satisfies_hessenberg_condition,
 )
-from .dot_action import GradedRepDecomposition, decompose, orientation_histogram
+from .dot_action import GradedRepDecomposition, decompose, orientation_histogram, poincare_of
 from .orientations import (
     SinkSet,
     build_graph,
@@ -30,7 +31,7 @@ from .orientations import (
 )
 from .partitions import Partition, partitions_of
 from .reports import CheckReport, mismatch, report_from_failures
-from .roots import HessenbergFunction, Root, ideal_of, is_abelian, roots_of
+from .roots import HessenbergFunction, Root, ideal_of, is_abelian, negative_root_count, roots_of
 
 Composition2 = tuple[int, int]
 
@@ -221,14 +222,22 @@ def _restrictions(h: HessenbergFunction, k: int) -> Restrictions:
     return tuple((t, restrict(graph, t) if k < h.n else None) for t in sink_sets(graph, k))
 
 
-def _sink_set_sum(restrictions: Restrictions, size: int, f) -> np.ndarray:
-    """Sum over the (T, h_T) of t^(2 deg T) f(h_T), for f(h_T) an int64 array of
-    coefficients, as an int64 array of the given size: one slice-add per T."""
-    total = np.zeros(size, dtype=np.int64)
-    for t, h_t in restrictions:
-        coeffs = f(h_t)
-        total[t.degree : t.degree + len(coeffs)] += coeffs
+def _sink_set_c_sum(h: HessenbergFunction, k: int) -> np.ndarray:
+    """S = sum over T in SK_k of t^(deg T) c(h_T) as an int64 array [degree 0..|Phi_h^-|,
+    partition of n - k], one slice-add per T. For k = n (the edgeless graph) S is 1 at
+    deg T, in the one column of the empty partition."""
+    total = np.zeros((negative_root_count(h) + 1, len(partitions_of(h.n - k))), dtype=np.int64)
+    for t, h_t in _restrictions(h, k):
+        c = decompose(h_t).c if h_t else np.ones((1, 1), dtype=np.int64)
+        total[t.degree : t.degree + len(c)] += c
     return total
+
+
+def _less_first_column_sums(h: HessenbergFunction, k: int, lams) -> np.ndarray:
+    """[degree, lambda in lams], for lams of k parts: the column of _sink_set_c_sum(h, k)
+    of lambda less its first column."""
+    order = partitions_of(h.n - k)
+    return _sink_set_c_sum(h, k)[:, [order.index(_less_first_column(lam)) for lam in lams]]
 
 
 def _sink_set_params(restrictions: Restrictions) -> list[dict]:
@@ -257,39 +266,18 @@ def _coefficient_failures(
     ]
 
 
-def _first_column_sums(restrictions: Restrictions, lams, size: int) -> np.ndarray:
-    """[degree, lambda in lams] for size degrees: the sum over the (T, h_T) of
-    t^(2 deg T) times the c-column of lambda less its first column in
-    decompose(h_T), one slice-add per T. Every T has one size, so the columns
-    are found once. With no h_T (an edgeless graph) the empty decomposition
-    is 1 at degree 0."""
-    total = np.zeros((size, len(lams)), dtype=np.int64)
-    columns = None
-    for t, h_t in restrictions:
-        if h_t is None:
-            total[t.degree] += 1
-            continue
-        if columns is None:
-            columns = [partitions_of(h_t.n).index(_less_first_column(lam)) for lam in lams]
-        c = decompose(h_t).c
-        total[t.degree : t.degree + len(c)] += c[:, columns]
-    return total
-
-
 def check_two_part_induction(h: HessenbergFunction) -> CheckReport:
     """For abelian h: every two-part coefficient is the degree-shifted sum of the
     corresponding coefficients of the restricted functions h_T over SK_2, and
     every coefficient with three or more parts is zero."""
     _require_abelian(h, "the induction formula")
     dec = decompose(h)
-    restrictions = _restrictions(h, 2)
     parts = [len(lam) for lam in dec.order.partitions]
     two = [pi for pi, p in enumerate(parts) if p == 2]
     expected = np.zeros_like(dec.c)
-    lams = [dec.order.partitions[pi] for pi in two]
-    expected[:, two] = _first_column_sums(restrictions, lams, len(dec.c))
+    expected[:, two] = _less_first_column_sums(h, 2, [dec.order.partitions[pi] for pi in two])
     columns = [pi for pi, p in enumerate(parts) if p > 1]
-    params = {"h": list(h.values), "sink_sets": _sink_set_params(restrictions)}
+    params = {"h": list(h.values), "sink_sets": _sink_set_params(_restrictions(h, 2))}
     failures = _coefficient_failures(dec, columns, expected[:, columns])
     return report_from_failures("two_part_induction", params, failures)
 
@@ -306,9 +294,7 @@ def check_nilpotent_poincare_recursion(h: HessenbergFunction) -> CheckReport:
     polynomials of the h_T, coefficient-wise (abelian h)."""
     _require_abelian(h, "the recursion")
     n, dec = h.n, decompose(h)
-    sub = _sink_set_sum(
-        _restrictions(h, 2), len(dec.c), lambda h_t: decompose(h_t).poincare((n - 2,))
-    )
+    sub = poincare_of(_sink_set_c_sum(h, 2), (n - 2,))
     lhs, rhs = dec.poincare((n,)), orientation_histogram(h)[:, 0] + sub
     return _polynomial_report("nilpotent_poincare_recursion", {"h": list(h.values)}, lhs, rhs)
 
@@ -323,7 +309,7 @@ def check_regular_poincare_recursion(
     if len(nu) != 2 or nu[0] < nu[1] or nu[1] < 1 or sum(nu) != n:
         raise ValueError(f"nu={nu} is not a two-part partition of {n}")
     mu = _less_first_column(tuple(nu))
-    sub = _sink_set_sum(_restrictions(h, 2), len(dec.c), lambda h_t: decompose(h_t).poincare(mu))
+    sub = poincare_of(_sink_set_c_sum(h, 2), mu)
     lhs, rhs = dec.poincare(tuple(nu)), dec.poincare((n,)) + sub
     params = {"h": list(h.values), "nu": list(nu)}
     return _polynomial_report("regular_poincare_recursion", params, lhs, rhs)
@@ -339,12 +325,10 @@ def check_maximal_sink_conjecture(h: HessenbergFunction) -> CheckReport:
         raise ValueError("the conjecture checker needs n >= 2")
     dec = decompose(h)
     m = dec.max_sinks
-    restrictions = _restrictions(h, m)
     columns = [pi for pi, lam in enumerate(dec.order.partitions) if len(lam) == m]
-    lams = [dec.order.partitions[pi] for pi in columns]
-    expected = _first_column_sums(restrictions, lams, len(dec.c))
+    expected = _less_first_column_sums(h, m, [dec.order.partitions[pi] for pi in columns])
     failures = _coefficient_failures(dec, columns, expected, by_lambda=True)
-    params = {"h": list(h.values), "m_gamma": m, "sink_sets": _sink_set_params(restrictions)}
+    params = {"h": list(h.values), "m_gamma": m, "sink_sets": _sink_set_params(_restrictions(h, m))}
     return report_from_failures(
         "maximal_sink_conjecture", params, failures, conjecture=True
     )

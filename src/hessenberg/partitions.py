@@ -1,7 +1,7 @@
 """Partitions, Kostka numbers, the fixed-space matrix N = K^T K, tableau counts,
 and the one exact solve of N c = b on int64 arrays only: int64 products with the
-inverse of K under overflow bounds, which yield both c and d = K c. K, K^-1 and N
-come from one memoised build per n."""
+inverse of K under overflow bounds, which yield c alone (d = K c is read from it).
+K, K^-1 and N come from one memoised build per n."""
 
 from __future__ import annotations
 
@@ -76,9 +76,9 @@ class PartitionOrder:
 
 @lru_cache(maxsize=None)
 def partitions_of(n: int) -> PartitionOrder:
-    """The partition list of n in decreasing total order, (n) first."""
-    if n < 1:
-        raise ValueError("n must be positive")
+    """The partitions of n in decreasing total order, (n) first; () alone at n = 0."""
+    if n < 0:
+        raise ValueError("n must not be negative")
     ordered = sorted(_gen_partitions(n, n), key=lambda lam: (len(lam), tuple(-p for p in lam)))
     return PartitionOrder(n, tuple(ordered))
 
@@ -125,14 +125,16 @@ def _fillings(content: tuple[int, ...]) -> Mapping[Partition, int]:
 
 
 def _int64_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The exact int64 product a·b. Raises NonIntegralSolution unless u·|b| < 2**62
-    in float64, with u the largest |a| in each column: that keeps every partial
-    sum under 2**63, rounding included. Elementwise, as a BLAS call would add to
-    the peak resident set."""
+    """The exact int64 product a·b, read-only. Raises NonIntegralSolution unless
+    u·|b| < 2**62 in float64, with u the largest |a| in each column: that keeps every
+    partial sum under 2**63, rounding included. Elementwise, as a BLAS call would add
+    to the peak resident set."""
     u = np.abs(a.astype(np.float64)).max(axis=0, initial=0.0)
     if (u[:, None] * np.abs(b.astype(np.float64))).sum(axis=0).max(initial=0.0) >= 2**62:
         raise NonIntegralSolution(f"a {a.shape} by {b.shape} int64 product could overflow")
-    return a @ b
+    out = a @ b
+    out.flags.writeable = False
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -147,10 +149,8 @@ def _kostka_arrays(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         inv[i, i + 1 :] = -(k[i, i + 1 :] @ inv[i + 1 :, i + 1 :])
     if not np.array_equal(_int64_product(k, inv), np.eye(len(k), dtype=np.int64)):
         raise ArithmeticError(f"K times its computed inverse is not I at n={n}")
-    out = k, inv, _int64_product(k.T, k)
-    for array in out:
-        array.flags.writeable = False
-    return out
+    k.flags.writeable = inv.flags.writeable = False
+    return k, inv, _int64_product(k.T, k)
 
 
 def kostka_matrix(n: int) -> np.ndarray:
@@ -172,25 +172,23 @@ def _require_int64(rows, shape: tuple[int, ...], what: str) -> None:
         raise SizeMismatch(f"{what} has shape {rows.shape}, not {shape}")
 
 
-def solve_fixed_space_system(n: int, big_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def solve_fixed_space_system(n: int, big_b: np.ndarray) -> np.ndarray:
     """The unique integer solutions of N c = b, one per row b of the 2-D int64 array big_b,
-    as read-only int64 arrays (C, D). Any other input raises TypeError, and rows of
+    as the read-only int64 array C. Any other input raises TypeError, and rows of
     another width than p(n) SizeMismatch.
 
-    N = K^T K, so the int64 products D = B K^-1 (Young's rule: each row d = K c, the
-    Specht coefficients) and C = D K^-T give the tabloid coefficients. The recheck
+    N = K^T K, so C = (B K^-1) K^-T by two int64 products. The first gives each row's
+    Specht coefficients d = K c (Young's rule), which are not kept. The recheck
     multiplies C by N to give back B. A row that fails it or an overflow bound of
     _int64_product raises NonIntegralSolution.
     """
     _, inv, fixed = _kostka_arrays(n)
     _require_int64(big_b, (len(big_b), len(inv)), f"b at n={n}")
-    d = _int64_product(big_b, inv)
-    c = _int64_product(d, inv.T)
+    c = _int64_product(_int64_product(big_b, inv), inv.T)
     wrong = np.flatnonzero((_int64_product(c, fixed.T) != big_b).any(axis=1))
     if len(wrong):
         raise NonIntegralSolution(f"N c != b for b={big_b[wrong[0]].tolist()}")
-    c.flags.writeable = d.flags.writeable = False
-    return c, d
+    return c
 
 
 def count_ph_tableaux(h: HessenbergFunction, shape: Partition) -> int:

@@ -24,11 +24,13 @@ from hessenberg.cli import (
     main,
 )
 from hessenberg.dot_action import decompose
+from hessenberg.partitions import partitions_of
 from hessenberg.reports import CheckReport
 from hessenberg.roots import (
     HessenbergError,
     enumerate_hessenberg_functions,
     ideal_of,
+    negative_root_count,
     validate_hessenberg,
 )
 
@@ -778,6 +780,21 @@ def test_cache_damaged_entries_are_misses(tmp_path, capsys):
         assert (cache_dir / f"{h}.json").read_text() == good[h]
     assert capsys.readouterr().err == ""
     assert sorted(p.name for p in cache_dir.iterdir()) == sorted(f"{h}.json" for h in DAMAGE)
+
+
+def test_cache_entry_beyond_the_engine_bound_is_not_read(tmp_path, capsys):
+    # a well-formed, checksummed entry of all-zero rows past the engine's bound: the size
+    # guard comes before the cache, as it does without the entry
+    h = validate_hessenberg([MAX_POINCARE_N + 1] * (MAX_POINCARE_N + 1))
+    rows = [[0] * (negative_root_count(h) + 1) for _ in partitions_of(h.n)]
+    text = ",".join(map(str, h.values))
+    (tmp_path / f"{text}.json").write_text(_redigested({"h": list(h.values), "rows": rows}, []))
+    for command in ("decompose", "betti"):
+        code, out = run_cli("--max-n", str(h.n), "--cache-dir", str(tmp_path), command, text)
+        captured = capsys.readouterr()
+        assert (code, out, captured.out) == (EXIT_SIZE_GUARD, "", "")
+        assert captured.err.startswith("hessenberg: size guard: ")
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
 
 
 @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")

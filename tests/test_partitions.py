@@ -172,9 +172,9 @@ def test_two_row_closed_form_matches_ssyt_matrix(n):
 
 
 def _solve(n, big_b):
-    """solve_fixed_space_system with its (C, D) arrays read back as tuples of rows."""
-    c, d = solve_fixed_space_system(n, big_b)
-    return tuple(map(tuple, c.tolist())), tuple(map(tuple, d.tolist()))
+    """solve_fixed_space_system as (C, D) tuples of rows, with D = K c in plain ints."""
+    c = tuple(map(tuple, solve_fixed_space_system(n, big_b).tolist()))
+    return c, tuple(_times(kostka_matrix(n).tolist(), row) for row in c)
 
 
 def _times(rows, c):
@@ -205,12 +205,11 @@ def test_solve_random_round_trip():
 
 
 def test_solve_takes_and_gives_int64_arrays():
-    # one stacked array in, read-only int64 arrays of C and D out
+    # one stacked array in, one read-only int64 array of C out
     n = 5
     big_n = fixed_space_matrix(n)
-    c, d = solve_fixed_space_system(n, big_n[:3])
-    for out in (c, d):
-        assert out.dtype == np.int64 and out.shape == (3, len(big_n)) and not out.flags.writeable
+    c = solve_fixed_space_system(n, big_n[:3])
+    assert c.dtype == np.int64 and c.shape == (3, len(big_n)) and not c.flags.writeable
     assert _solve(n, big_n[:3]) == solve_fixed_space_reference(n, big_n[:3].tolist())
     with pytest.raises(SizeMismatch):
         solve_fixed_space_system(n, np.zeros((2, len(big_n) - 1), dtype=np.int64))
