@@ -23,6 +23,7 @@ import signal
 import sys
 import tempfile
 from functools import lru_cache
+from math import factorial
 from pathlib import Path
 from typing import Any, NamedTuple, NoReturn, Optional, Sequence
 
@@ -88,8 +89,8 @@ class TableCache:
     Betti table in partitions_of(n) order and the _digest of h and those rows.
 
     An entry that cannot be read, stores another h, does not hold one row of |Phi_h^-| + 1
-    int64 integers per partition, or fails its digest is a miss: one warning goes to stderr and
-    the entry is rewritten. Entries are written to a temporary file in the cache
+    integers in 0..n! per partition, or fails its digest is a miss: one warning goes to
+    stderr and the entry is rewritten. Entries are written to a temporary file in the cache
     directory and renamed into place, so no reader sees a partly written entry.
     """
 
@@ -111,14 +112,16 @@ class TableCache:
     @staticmethod
     def _read(path: Path, h: list[int], count: int, size: int) -> Optional[np.ndarray]:
         """The stored rows as an int64 array, or None for a missing or unusable entry."""
+        top = factorial(len(h))  # a Betti number counts permutations; 13! < 2**63 fits int64
         try:
             payload = json.loads(path.read_text())
             rows = payload["rows"]
             if payload["h"] != h:
                 problem = "stores another h"
-            # JSON has no container of ints but a list, so lengths and types suffice
+            # JSON has no container of ints but a list, so lengths, types and bounds suffice
             elif len(rows) != count or not all(
-                len(row) == size and all(type(c) is int for c in row) for row in rows
+                len(row) == size and all(type(c) is int and 0 <= c <= top for c in row)
+                for row in rows
             ):
                 problem = "has malformed rows"
             elif payload.get("sha256") != _digest(h, rows):
@@ -127,8 +130,6 @@ class TableCache:
                 return np.array(rows, dtype=np.int64)
         except FileNotFoundError:
             return None
-        except OverflowError:  # an integer beyond int64
-            problem = "has malformed rows"
         except (OSError, ValueError, KeyError, TypeError) as exc:
             problem = f"is unreadable ({type(exc).__name__})"
         print(f"hessenberg: cache entry {path} {problem}; recomputing it", file=sys.stderr)
@@ -192,7 +193,7 @@ def cmd_analyze(args, out) -> int:
     graph = build_graph(h)
     ideal = ideal_of(h)
     report = lower_central_series(ideal)
-    m = max_sink_set_size(graph)
+    m = max_sink_set_size(h)
     sk = {k: sink_sets(graph, k) for k in range(1, m + 1)}
     payload = {
         "h": list(h.values),
@@ -249,7 +250,7 @@ def cmd_decompose(args, out) -> int:
     payload["e_positive"] = positivity.passed
     payload["negative_coefficients"] = positivity.failures
     if args.format == "pretty":
-        out.write(f"h = {h}   m(Gamma_h) = {dec.max_sinks}\n")
+        out.write(f"h = {h}   m(Gamma_h) = {max_sink_set_size(h)}\n")
         for i in dec.degrees:
             row = [
                 f"{c[i][pi]}*M({_partition_key(lam)})"
@@ -380,7 +381,7 @@ def _chunk_reports(chunk: list[HessenbergFunction], which: str) -> list[_Encoded
         group = chunk[start : start + _GROUP]
         layers = [(h, 2) for h in group if which in _SK2_SUITES and h.n >= 3 and is_abelian(h)]
         if which in ("all", "conj81"):
-            layers += [(h, decompose(h).max_sinks) for h in group if h.n >= 2]
+            layers += [(h, max_sink_set_size(h)) for h in group if h.n >= 2]
         h_ts = [h_t for layer in layers for _, h_t in _restrictions(*layer) if h_t]
         decompositions([h for h, _ in layers] + h_ts)
         encoded += [

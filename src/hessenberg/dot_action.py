@@ -1,5 +1,5 @@
 """Graded tabloid/Specht decomposition of the symmetric-group action on the cohomology of
-a regular semisimple Hessenberg variety, memoised per h as its int64 array c alone
+a regular semisimple Hessenberg variety, memoised per h as h and its int64 array c alone
 (decompositions): d, the Betti table and P_nu are read from c. And independent oracles."""
 
 from __future__ import annotations
@@ -42,11 +42,10 @@ class GradedRepDecomposition:
     """Integer tabloid coefficients c of h: a read-only int64 array [degree 0..|Phi_h^-|,
     partition in order] (another form raises TypeError, another shape SizeMismatch), equal
     when their values are. Nothing derived is kept: d = K c, the Betti table N c and P_nu
-    are read from c, whose solve checked N c against the engine."""
+    are read from c, whose solve checked N c against the engine, and m(Gamma_h) from h."""
 
     h: HessenbergFunction
     c: np.ndarray
-    max_sinks: int
 
     def __post_init__(self):
         shape = (negative_root_count(self.h) + 1, len(self.order))
@@ -54,7 +53,7 @@ class GradedRepDecomposition:
         self.c.flags.writeable = False
 
     def _values(self) -> tuple:
-        return self.h, self.max_sinks, self.c.tobytes()
+        return self.h, self.c.tobytes()
 
     def __eq__(self, other) -> bool:
         return isinstance(other, GradedRepDecomposition) and self._values() == other._values()
@@ -97,7 +96,7 @@ class GradedRepDecomposition:
 
         return {
             "h": list(self.h.values),
-            "m_gamma": self.max_sinks,
+            "m_gamma": max_sink_set_size(self.h),
             "coeffs": {"c": table(self.c.tolist()), "d": table(self.d.tolist())},
         }
 
@@ -116,13 +115,8 @@ def decompose_tables(
         _require_int64(table, (len(order), negative_root_count(h) + 1), f"the Betti table of h={h}")
         stack.append(table.T)
     c = solve_fixed_space_system(order.n, np.concatenate(stack))
-    out, start = [], 0
-    for h, rows in zip(hs, stack):
-        end = start + len(rows)
-        sinks = max_sink_set_size(build_graph(h))
-        out.append(GradedRepDecomposition(h, c[start:end].copy(), sinks))
-        start = end
-    return out
+    parts = np.split(c, np.cumsum([len(rows) for rows in stack])[:-1])
+    return [GradedRepDecomposition(h, part.copy()) for h, part in zip(hs, parts)]
 
 
 _decompositions: dict[HessenbergFunction, GradedRepDecomposition] = {}

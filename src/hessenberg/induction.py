@@ -25,6 +25,7 @@ from .orientations import (
     SinkSet,
     build_graph,
     degree_of,
+    max_sink_set_size,
     relabeling,
     restrict,
     sink_sets,
@@ -323,8 +324,7 @@ def check_maximal_sink_conjecture(h: HessenbergFunction) -> CheckReport:
     """
     if h.n < 2:
         raise ValueError("the conjecture checker needs n >= 2")
-    dec = decompose(h)
-    m = dec.max_sinks
+    dec, m = decompose(h), max_sink_set_size(h)
     columns = [pi for pi, lam in enumerate(dec.order.partitions) if len(lam) == m]
     expected = _less_first_column_sums(h, m, [dec.order.partitions[pi] for pi in columns])
     failures = _coefficient_failures(dec, columns, expected, by_lambda=True)

@@ -1,4 +1,4 @@
-"""Incomparability graphs, acyclic-orientation enumeration, and sink-set machinery."""
+"""Incomparability graphs, acyclic-orientation enumeration, sink sets and m(Gamma_h)."""
 
 from __future__ import annotations
 
@@ -147,13 +147,15 @@ def sink_sets(graph: IncomparabilityGraph, k: int) -> list[SinkSet]:
     return found
 
 
-def max_sink_set_size(graph: IncomparabilityGraph) -> int:
-    """m(Gamma_h): the maximum size of an independent set."""
-    h = graph.h
-    best = [0] * (graph.n + 1)
-    for v in range(1, graph.n + 1):
-        best[v] = 1 + max((best[u] for u in range(1, v) if v > h(u)), default=0)
-    return max(best[1:])
+def max_sink_set_size(h: HessenbergFunction) -> int:
+    """m(Gamma_h), the largest size of a sink set: the length of the greedy chain v_1 = 1,
+    v_(i+1) = h(v_i) + 1 while v <= n. Sink sets are the chains with l_(i+1) > h(l_i), as
+    in sink_sets. h is nondecreasing, so a smaller allowed l_i only lowers h(l_i) and widens
+    the choice of l_(i+1): by induction v_i <= l_i for any such chain, so none is longer."""
+    m, v = 0, 1
+    while v <= h.n:
+        m, v = m + 1, h(v) + 1
+    return m
 
 
 def relabeling(n: int, removed: Iterable[int]) -> list[int]:

@@ -161,7 +161,7 @@ def test_criterion_6_counting_laws():
                 assert len(strictly) == 2 ** (n - 1) - (n - 1)
             for h in functions:
                 ideal = ideal_of(h)
-                m = max_sink_set_size(build_graph(h))
+                m = max_sink_set_size(h)
                 assert m == height_via_chains(ideal) + 1
         for n in range(1, 11):
             assert sum(1 for _ in enumerate_hessenberg_functions(n)) == catalan(n)

@@ -233,6 +233,21 @@ def test_betti_and_decompose_output_is_pinned():
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == BETTI_PIN_SHA256
 
 
+# every h at n <= 6 in enumerate order, then the n = 7 example and the complete graph at n = 8
+ANALYZE_PIN_H = BETTI_PIN_H[:-3] + ["3,4,5,6,7,7,7", "8,8,8,8,8,8,8,8"]
+ANALYZE_PIN_SHA256 = "dddb9f76148b55b5fa755ef3aa0a9d446a43614be46a31710acc37ec96a2cb95"
+
+
+def test_analyze_output_is_pinned():
+    # per h and format, analyze followed by its exit code: m_gamma, SK_k and the h_T
+    out = io.StringIO()
+    for h in ANALYZE_PIN_H:
+        for fmt in ("json", "pretty"):
+            code = main(["--max-n", "8", "--format", fmt, "analyze", h], out)
+            out.write(f"rc={code}\n")
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == ANALYZE_PIN_SHA256
+
+
 def _engine_calls(monkeypatch, *argv):
     """Run argv at one worker from an empty memo. Return its engine calls as lists of h,
     with a marker for the start ("in") and end ("out") of each decompositions call that
@@ -308,7 +323,7 @@ def test_verify_sweep_builds_each_fact_once(monkeypatch):
     assert run_cli("verify", "6", "all")[0] == EXIT_OK
     swept = len(sums)
     functions = list(enumerate_hessenberg_functions(6))
-    read = {(h, decompose(h).max_sinks) for h in functions}
+    read = {(h, orientations.max_sink_set_size(h)) for h in functions}
     read |= {(h, 2) for h in functions if roots.is_abelian(h)}
     assert sorted(sink_calls, key=repr) == sorted(read, key=repr)
     # one abelian test per h: |I_h|^2 root sums for an abelian h, and for the
@@ -748,6 +763,10 @@ DAMAGE = {
     "3,3,3": ("sha256", lambda good: json.dumps({k: v for k, v in good.items() if k != "sha256"})),
     # rows[0][0] is 2**63, one beyond int64, under a sha256 recomputed to match it
     "2,2,4,4": ("malformed", lambda good: _redigested(good, [[2**63] + good["rows"][0][1:]])),
+    # checksummed, but rows[0][0] lies outside 0..n!: solved, 2**62 gives no integral c
+    # and -1 gives a negative c for an abelian h
+    "2,2,3": ("malformed", lambda good: _redigested(good, [[2**62] + good["rows"][0][1:]])),
+    "1,3,3": ("malformed", lambda good: _redigested(good, [[-1] + good["rows"][0][1:]])),
 }
 
 

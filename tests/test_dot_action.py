@@ -20,7 +20,11 @@ from hessenberg.dot_action import (
     orientation_histogram,
     zero_one_matrix_count,
 )
-from hessenberg.orientations import build_graph, enumerate_acyclic_orientations
+from hessenberg.orientations import (
+    build_graph,
+    enumerate_acyclic_orientations,
+    max_sink_set_size,
+)
 from hessenberg.partitions import (
     SizeMismatch,
     count_ph_tableaux,
@@ -246,10 +250,10 @@ def test_decompose_table_rejects_wrong_length():
 @pytest.mark.parametrize("n", range(1, 8))
 def test_support_bound(n):
     for h in all_h(n):
-        dec = decompose(h)
+        dec, m = decompose(h), max_sink_set_size(h)
         for i in dec.degrees:
             for pi, lam in enumerate(dec.order.partitions):
-                if len(lam) > dec.max_sinks:
+                if len(lam) > m:
                     assert dec.c[i][pi] == 0
                     assert dec.d[i][pi] == 0
 
@@ -258,16 +262,15 @@ def test_support_bound(n):
 def test_restriction_support_consistency(n):
     # m of the restricted graph never exceeds m of the original, so restricted
     # decompositions stay supported on partitions with at most m(Gamma_h) parts
-    from hessenberg.orientations import build_graph, max_sink_set_size, restrict, sink_sets
+    from hessenberg.orientations import restrict, sink_sets
 
     for h in all_h(n):
         g = build_graph(h)
-        m = max_sink_set_size(g)
+        m = max_sink_set_size(h)
         for k in range(2, min(m, n - 1) + 1):
             for t in sink_sets(g, k):
                 h_t = restrict(h, t)
-                sub_g = build_graph(h_t)
-                assert max_sink_set_size(sub_g) <= m
+                assert max_sink_set_size(h_t) <= m
                 sub = decompose(h_t)
                 for i in sub.degrees:
                     for pi, lam in enumerate(sub.order.partitions):
@@ -292,7 +295,7 @@ def test_decomposition_arrays_are_read_only_int64():
     # the record stores c alone; d, the table and P_nu are read from it
     h = validate_hessenberg([3, 4, 5, 5, 5])
     dec = decompose(h)
-    assert [f.name for f in dataclasses.fields(dec)] == ["h", "c", "max_sinks"]
+    assert [f.name for f in dataclasses.fields(dec)] == ["h", "c"]
     for rows in (dec.c, dec.d):
         assert rows.dtype == np.int64 and not rows.flags.writeable
         assert rows.shape == (len(dec.degrees), len(dec.order))
@@ -312,7 +315,6 @@ def test_replace_with_int64_arrays_builds_an_equal_decomposition():
     bumped = dec.c.copy()
     bumped[1, 0] += 1
     assert dataclasses.replace(dec, c=bumped) != dec
-    assert dataclasses.replace(dec, max_sinks=dec.max_sinks + 1) != dec
 
 
 def test_solve_and_decompositions_take_only_int64_arrays():

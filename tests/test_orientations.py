@@ -98,7 +98,7 @@ def test_sink_sets_examples():
 
     g = build_graph(validate_hessenberg([3, 4, 5, 5, 5]))
     assert (2, 5) in [t.vertices for t in sink_sets(g, 2)]
-    assert max_sink_set_size(g) == 2
+    assert max_sink_set_size(g.h) == 2
 
     complete = build_graph(validate_hessenberg([4] * 4))
     assert sink_sets(complete, 2) == []
@@ -125,16 +125,24 @@ def test_sink_sets_match_enumeration(n):
 
 
 def test_max_sink_set_size_examples():
-    assert max_sink_set_size(build_graph(validate_hessenberg([3, 4, 5, 5, 5]))) == 2
-    assert max_sink_set_size(build_graph(validate_hessenberg([3, 4, 5, 6, 7, 7, 7]))) == 3
-    assert max_sink_set_size(build_graph(validate_hessenberg([5] * 5))) == 1
+    assert max_sink_set_size(validate_hessenberg([3, 4, 5, 5, 5])) == 2
+    assert max_sink_set_size(validate_hessenberg([3, 4, 5, 6, 7, 7, 7])) == 3
+    assert max_sink_set_size(validate_hessenberg([5] * 5)) == 1
 
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_max_sink_size_is_height_plus_one(n):
     for h in all_h(n):
-        g = build_graph(h)
-        assert max_sink_set_size(g) == height_via_chains(ideal_of(h)) + 1
+        assert max_sink_set_size(h) == height_via_chains(ideal_of(h)) + 1
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_max_sink_set_size_is_the_largest_sink_set_size(n):
+    # m(Gamma_h) against its definition: SK_m is non-empty and SK_(m+1) is empty
+    for h in all_h(n):
+        g, m = build_graph(h), max_sink_set_size(h)
+        assert sink_sets(g, m) != []
+        assert m == n or sink_sets(g, m + 1) == []
 
 
 def test_degree_examples():
@@ -151,7 +159,7 @@ def test_degree_is_min_ascent(n):
     # for maximal-size T the fiber sk(omega) = T itself attains it.
     for h in all_h(n):
         g = build_graph(h)
-        m = max_sink_set_size(g)
+        m = max_sink_set_size(h)
         orients = list(enumerate_acyclic_orientations(g))
         for k in range(1, m + 1):
             for t in sink_sets(g, k):
@@ -179,7 +187,7 @@ def test_restrict_examples():
 def test_restrict_is_the_induced_subgraph(values, data):
     h = validate_hessenberg(values)
     graph = build_graph(h)
-    top = min(max_sink_set_size(graph), h.n - 1)
+    top = min(max_sink_set_size(h), h.n - 1)
     assume(top >= 1)
     k = data.draw(st.integers(1, top))
     t = data.draw(st.sampled_from(sink_sets(graph, k)))
@@ -223,7 +231,7 @@ def test_restrict_orientation_mismatch():
 def test_maximal_restriction_bijection(n):
     for h in all_h(n):
         g = build_graph(h)
-        m = max_sink_set_size(g)
+        m = max_sink_set_size(h)
         if m == n:  # edgeless graph; the restriction target has rank 0
             continue
         by_sinks: dict[tuple, list] = {}
@@ -248,7 +256,7 @@ def test_exploratory_inclusion_maximal_restriction(n):
     # size. Verified here so any counterexample would surface as a finding.
     for h in all_h(n):
         g = build_graph(h)
-        m = max_sink_set_size(g)
+        m = max_sink_set_size(h)
         all_sets = {t.vertices for k in range(1, m + 1) for t in sink_sets(g, k)}
         by_sinks: dict[tuple, int] = {}
         for o in enumerate_acyclic_orientations(g):
@@ -266,7 +274,7 @@ def test_exploratory_inclusion_maximal_restriction(n):
 def test_edge_count_inequality(n):
     for h in all_h(n):
         g = build_graph(h)
-        for k in range(1, min(max_sink_set_size(g), n - 1) + 1):
+        for k in range(1, min(max_sink_set_size(h), n - 1) + 1):
             for t in sink_sets(g, k):
                 sub = build_graph(restrict(h, t))
                 assert len(g.edges) >= len(sub.edges) + t.degree
