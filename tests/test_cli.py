@@ -205,6 +205,25 @@ def test_verify_7_all_output_is_pinned(monkeypatch, workers):
     assert hashlib.sha256(text.encode()).hexdigest() == VERIFY_7_ALL_SHA256
 
 
+# each suite alone reads its own subset of the layers and decompositions that all reads
+VERIFY_7_SUITE_SHA256 = {
+    "thm61": "e8fa2382db16bcc8ce56ac20c9e9c26065e717310cb5700271aa27776b6ab25f",
+    "prop72": "5701afda7ca91f92469d19df17f54d3e6bd325b97f38ac54477484f897c0f1a5",
+    "prop73": "48e9a2a7e15e5cf33964204259efc2840cd75409f922e75b43344447ffaa382f",
+    "oracles": "c883477686bb632d6f6dd09d6b57ac25e929ad6abad8c5d67101527ec9e51da0",
+    "conj81": "1d239a122e13944f47c5507ede30531228edb4f7047d5192ff0a685a328b5b71",
+}
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+@pytest.mark.parametrize("suite", sorted(VERIFY_7_SUITE_SHA256))
+def test_verify_7_suite_output_is_pinned(monkeypatch, suite, workers):
+    monkeypatch.setattr(cli, "_cpu_count", lambda: workers)
+    code, text = run_cli("verify", "7", suite)
+    assert code == EXIT_OK
+    assert hashlib.sha256(text.encode()).hexdigest() == VERIFY_7_SUITE_SHA256[suite]
+
+
 @pytest.mark.parametrize("workers", (1, 2))
 def test_verify_8_conj81_output_is_pinned(monkeypatch, workers):
     # the command of perfbench's conj8 workload, over every h at n = 8
