@@ -42,7 +42,6 @@ from .dot_action import (
     orientation_count_check,
 )
 from .induction import (
-    _restrictions,
     check_maximal_sink_conjecture,
     check_nilpotent_poincare_recursion,
     check_regular_poincare_recursion,
@@ -75,7 +74,6 @@ EXIT_SIZE_GUARD = 2
 EXIT_CHECK_FAILED = 3
 
 WHICH_CHOICES = ("all", "thm61", "prop72", "prop73", "conj81", "oracles")
-_SK2_SUITES = ("all", "thm61", "prop72", "prop73")  # the suites of abelian h that read SK_2
 
 
 class _Parser(argparse.ArgumentParser):
@@ -328,10 +326,15 @@ def cmd_enumerate(args, out) -> int:
     return EXIT_OK
 
 
+def _reads_sk2(h: HessenbergFunction, which: str) -> bool:
+    """Whether the suite checks Thm 6.1, Prop 7.2 or 7.3 on h, which read SK_2 of h."""
+    return which in ("all", "thm61", "prop72", "prop73") and h.n >= 3 and is_abelian(h)
+
+
 def _reports_for(h: HessenbergFunction, which: str) -> list[CheckReport]:
     n = h.n
     reports: list[CheckReport] = []
-    if which in _SK2_SUITES and n >= 3 and is_abelian(h):
+    if _reads_sk2(h, which):
         if which in ("all", "thm61"):
             reports.append(check_two_part_induction(h))
         if which in ("all", "prop72"):
@@ -362,40 +365,25 @@ class _Encoded(NamedTuple):
     conjecture: bool
 
 
-# h per group of _chunk_reports: each reads SK_k for at most two k, so a group's
-# restrictions and abelian tests fit the 8-entry memos of _restrictions and is_abelian
-_GROUP = 4
-
-
 def _chunk_reports(chunk: list[HessenbergFunction], which: str) -> list[_Encoded]:
-    """The reports of a chunk, JSON-encoded in the process that checks it. For
-    the checks that read every h's decomposition, the decompositions are built
-    first, their Betti tables in blocks of several h. Then the chunk is checked
-    in groups of _GROUP h: one decompositions call builds every h_T that a
-    group's checks read, and each h whose sink sets they read, before the
-    group's reports."""
-    if which in ("all", "oracles", "conj81"):
-        decompositions(chunk)
-    encoded = []
-    for start in range(0, len(chunk), _GROUP):
-        group = chunk[start : start + _GROUP]
-        layers = [(h, 2) for h in group if which in _SK2_SUITES and h.n >= 3 and is_abelian(h)]
-        if which in ("all", "conj81"):
-            layers += [(h, max_sink_set_size(h)) for h in group if h.n >= 2]
-        h_ts = [h_t for layer in layers for _, h_t in _restrictions(*layer) if h_t]
-        decompositions([h for h, _ in layers] + h_ts)
-        encoded += [
-            _Encoded(
-                "    " + json.dumps(r.to_json_dict(), **_JSON_OPTIONS).replace("\n", "\n    "),
-                r.name,
-                r.params.get("h"),
-                r.passed,
-                r.conjecture,
-            )
-            for h in group
-            for r in _reports_for(h, which)
-        ]
-    return encoded
+    """The reports of a chunk, JSON-encoded in the process that checks it. The chunk's
+    own h that the suite reads are built first in one decompositions call, their Betti
+    tables in blocks of several h: every h for all, oracles and conj81, the abelian h
+    of n >= 3 alone for thm61, prop72 and prop73. Each sink-set layer that the checks
+    read then builds its h_T in one decompositions call of its own."""
+    every = which in ("all", "oracles", "conj81")
+    decompositions([h for h in chunk if every or _reads_sk2(h, which)])
+    return [
+        _Encoded(
+            "    " + json.dumps(r.to_json_dict(), **_JSON_OPTIONS).replace("\n", "\n    "),
+            r.name,
+            r.params.get("h"),
+            r.passed,
+            r.conjecture,
+        )
+        for h in chunk
+        for r in _reports_for(h, which)
+    ]
 
 
 def _cpu_count() -> int:

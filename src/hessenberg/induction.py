@@ -1,7 +1,8 @@
 """Machine verification of the inductive identities: slice permutations,
 coset bijections, degree shifts, the two-part induction formula, the Poincaré
-recursions, and the maximal-sink-set conjecture checker. The last four all read
-one shifted sum over sink sets, sum over T in SK_k of t^(deg T) c(h_T)."""
+recursions, and the maximal-sink-set conjecture checker. The last four read one
+memoised layer per (h, k): SK_k with each h_T, built from one decompositions call,
+and the shifted sum over it, sum over T in SK_k of t^(deg T) c(h_T)."""
 
 from __future__ import annotations
 
@@ -20,7 +21,13 @@ from .betti import (
     perm_inverse,
     satisfies_hessenberg_condition,
 )
-from .dot_action import GradedRepDecomposition, decompose, orientation_histogram, poincare_of
+from .dot_action import (
+    GradedRepDecomposition,
+    decompose,
+    decompositions,
+    orientation_histogram,
+    poincare_of,
+)
 from .orientations import (
     SinkSet,
     build_graph,
@@ -213,32 +220,33 @@ def _require_abelian(h: HessenbergFunction, what: str) -> None:
         raise ValueError(f"h={h} is not abelian")
 
 
-# the SK_k of the last few h, never a sweep's worth: verify reads them for a group of
-# 4 h (at most two k each) before it checks the group, whose checks read them again
+# the checks of one h read at most two layers, SK_2 and SK_m(Gamma_h); a sweep checks
+# its h one after another, so a few entries hold every layer that is read again
 @lru_cache(maxsize=8)
-def _restrictions(h: HessenbergFunction, k: int) -> Restrictions:
-    """(T, h_T) for every T in SK_k; h_T is None when T holds every vertex. The
-    graph of h is built once for the layer."""
+def _sink_layer(h: HessenbergFunction, k: int) -> tuple[Restrictions, np.ndarray]:
+    """The layer SK_k of h: (T, h_T) for every T in SK_k, h_T None when T holds every
+    vertex, and S = sum over T of t^(deg T) c(h_T) as a read-only int64 array [degree
+    0..|Phi_h^-|, partition of n - k]. The graph of h is built once, and every h_T comes
+    from one decompositions call. For k = n (the edgeless graph) S is 1 at deg T, in the
+    one column of the empty partition."""
     graph = build_graph(h)
-    return tuple((t, restrict(graph, t) if k < h.n else None) for t in sink_sets(graph, k))
-
-
-def _sink_set_c_sum(h: HessenbergFunction, k: int) -> np.ndarray:
-    """S = sum over T in SK_k of t^(deg T) c(h_T) as an int64 array [degree 0..|Phi_h^-|,
-    partition of n - k], one slice-add per T. For k = n (the edgeless graph) S is 1 at
-    deg T, in the one column of the empty partition."""
+    restrictions = tuple((t, restrict(graph, t) if k < h.n else None) for t in sink_sets(graph, k))
+    if k < h.n:
+        cs = [dec.c for dec in decompositions([h_t for _, h_t in restrictions])]
+    else:
+        cs = [np.ones((1, 1), dtype=np.int64)] * len(restrictions)
     total = np.zeros((negative_root_count(h) + 1, len(partitions_of(h.n - k))), dtype=np.int64)
-    for t, h_t in _restrictions(h, k):
-        c = decompose(h_t).c if h_t else np.ones((1, 1), dtype=np.int64)
+    for (t, _), c in zip(restrictions, cs):
         total[t.degree : t.degree + len(c)] += c
-    return total
+    total.flags.writeable = False
+    return restrictions, total
 
 
 def _less_first_column_sums(h: HessenbergFunction, k: int, lams) -> np.ndarray:
-    """[degree, lambda in lams], for lams of k parts: the column of _sink_set_c_sum(h, k)
-    of lambda less its first column."""
+    """[degree, lambda in lams], for lams of k parts: the column of the layer sum S of
+    SK_k of lambda less its first column."""
     order = partitions_of(h.n - k)
-    return _sink_set_c_sum(h, k)[:, [order.index(_less_first_column(lam)) for lam in lams]]
+    return _sink_layer(h, k)[1][:, [order.index(_less_first_column(lam)) for lam in lams]]
 
 
 def _sink_set_params(restrictions: Restrictions) -> list[dict]:
@@ -278,7 +286,7 @@ def check_two_part_induction(h: HessenbergFunction) -> CheckReport:
     expected = np.zeros_like(dec.c)
     expected[:, two] = _less_first_column_sums(h, 2, [dec.order.partitions[pi] for pi in two])
     columns = [pi for pi, p in enumerate(parts) if p > 1]
-    params = {"h": list(h.values), "sink_sets": _sink_set_params(_restrictions(h, 2))}
+    params = {"h": list(h.values), "sink_sets": _sink_set_params(_sink_layer(h, 2)[0])}
     failures = _coefficient_failures(dec, columns, expected[:, columns])
     return report_from_failures("two_part_induction", params, failures)
 
@@ -295,7 +303,7 @@ def check_nilpotent_poincare_recursion(h: HessenbergFunction) -> CheckReport:
     polynomials of the h_T, coefficient-wise (abelian h)."""
     _require_abelian(h, "the recursion")
     n, dec = h.n, decompose(h)
-    sub = poincare_of(_sink_set_c_sum(h, 2), (n - 2,))
+    sub = poincare_of(_sink_layer(h, 2)[1], (n - 2,))
     lhs, rhs = dec.poincare((n,)), orientation_histogram(h)[:, 0] + sub
     return _polynomial_report("nilpotent_poincare_recursion", {"h": list(h.values)}, lhs, rhs)
 
@@ -310,7 +318,7 @@ def check_regular_poincare_recursion(
     if len(nu) != 2 or nu[0] < nu[1] or nu[1] < 1 or sum(nu) != n:
         raise ValueError(f"nu={nu} is not a two-part partition of {n}")
     mu = _less_first_column(tuple(nu))
-    sub = poincare_of(_sink_set_c_sum(h, 2), mu)
+    sub = poincare_of(_sink_layer(h, 2)[1], mu)
     lhs, rhs = dec.poincare(tuple(nu)), dec.poincare((n,)) + sub
     params = {"h": list(h.values), "nu": list(nu)}
     return _polynomial_report("regular_poincare_recursion", params, lhs, rhs)
@@ -328,7 +336,8 @@ def check_maximal_sink_conjecture(h: HessenbergFunction) -> CheckReport:
     columns = [pi for pi, lam in enumerate(dec.order.partitions) if len(lam) == m]
     expected = _less_first_column_sums(h, m, [dec.order.partitions[pi] for pi in columns])
     failures = _coefficient_failures(dec, columns, expected, by_lambda=True)
-    params = {"h": list(h.values), "m_gamma": m, "sink_sets": _sink_set_params(_restrictions(h, m))}
+    sink_set_params = _sink_set_params(_sink_layer(h, m)[0])
+    params = {"h": list(h.values), "m_gamma": m, "sink_sets": sink_set_params}
     return report_from_failures(
         "maximal_sink_conjecture", params, failures, conjecture=True
     )

@@ -268,64 +268,74 @@ def test_analyze_output_is_pinned():
 
 
 def _engine_calls(monkeypatch, *argv):
-    """Run argv at one worker from an empty memo. Return its engine calls as lists of h,
-    with a marker for the start ("in") and end ("out") of each decompositions call that
-    cli makes, and the groups of n that each such call passed to the engine, after
-    checking that every engine call is made by one of them, at most one per n."""
-    calls = []
-    engine, prefetch = dot_action.poincare_arrays, cli.decompositions
-    monkeypatch.setattr(
-        dot_action, "poincare_arrays", lambda hs, order: calls.append(hs) or engine(hs, order)
-    )
+    """Run argv at one worker from empty memos. Return the decompositions calls made by
+    cli for a chunk's own h ("chunk") and by induction for a sink-set layer ("layer"),
+    each as (kind, its h, the set of h that its engine passes built), after checking
+    that every engine pass is made by one of them, that a layer's h_T share one n below
+    the sweep's and reach the engine in at most one pass, and that no h reaches the
+    engine twice: the checks build none of the chunk's own h."""
+    calls, current = [], [("outside", [], [])]
+    engine = dot_action.poincare_arrays
 
-    def marked(hs):
-        calls.append("in")
-        built = prefetch(hs)
-        calls.append("out")
-        return built
+    def engine_pass(hs, order):
+        current[-1][2].append(hs)
+        return engine(hs, order)
 
-    monkeypatch.setattr(cli, "decompositions", marked)
+    def marked(kind, real):
+        def wrapper(hs):
+            current.append((kind, list(hs), []))
+            try:
+                return real(hs)
+            finally:
+                calls.append(current.pop())
+
+        return wrapper
+
+    monkeypatch.setattr(dot_action, "poincare_arrays", engine_pass)
+    monkeypatch.setattr(cli, "decompositions", marked("chunk", cli.decompositions))
+    monkeypatch.setattr(induction, "decompositions", marked("layer", induction.decompositions))
     monkeypatch.setattr(cli, "_cpu_count", lambda: 1)
     monkeypatch.setattr(dot_action, "_decompositions", {})
+    induction._sink_layer.cache_clear()
     assert run_cli(*argv)[0] == EXIT_OK
-    text = "".join("[" if c == "in" else "]" if c == "out" else str(c[0].n) for c in calls)
-    groups = re.findall(r"\[(\d*)\]", text)
-    assert "".join(f"[{g}]" for g in groups) == text
-    assert all(len(set(g)) == len(g) for g in groups)
-    # no h reaches the engine twice
-    built = [h for hs in calls if hs not in ("in", "out") for h in hs]
+    assert current == [("outside", [], [])]
+    n = int(argv[-2])
+    for kind, hs, passes in calls:
+        if kind == "layer":
+            assert len({h.n for h in hs}) <= 1 and all(h.n < n for h in hs)
+            assert len(passes) <= 1
+    built = [h for _, _, passes in calls for hs in passes for h in hs]
     assert len(built) == len(set(built))
-    return calls, groups
+    return [(kind, hs, set().union(*passes)) for kind, hs, passes in calls]
 
 
 def test_verify_chunk_builds_its_tables_in_one_call(monkeypatch):
-    # one decompositions call per chunk, then one per group: the checks themselves
-    # build nothing
-    calls, groups = _engine_calls(monkeypatch, "verify", "5", "all")
+    # one decompositions call per chunk of 11 h builds every h of the chunk; each layer
+    # that the checks read builds its h_T in one call of its own
+    calls = _engine_calls(monkeypatch, "verify", "5", "all")
     functions = list(enumerate_hessenberg_functions(5))
     chunks = [functions[i : i + 11] for i in range(0, 42, 11)]
-    # one engine call per chunk of 11 h holds every h of the chunk
-    assert [set(hs) for hs in calls if hs not in ("in", "out") and hs[0].n == 5] == [
-        set(chunk) for chunk in chunks
+    assert [(hs, built) for kind, hs, built in calls if kind == "chunk"] == [
+        (chunk, set(chunk)) for chunk in chunks
     ]
-    assert len(groups) == len(chunks) + sum(-(-len(chunk) // cli._GROUP) for chunk in chunks)
 
 
-def test_verify_thm61_builds_each_group_in_one_engine_call_per_n(monkeypatch):
-    # thm61 reads decompositions of the abelian h and of their h_T only; each group's
-    # one decompositions call builds both, so the checks themselves build nothing
-    calls, groups = _engine_calls(monkeypatch, "verify", "7", "thm61")
+def test_verify_thm61_builds_each_layer_in_one_engine_call_per_n(monkeypatch):
+    # thm61 reads the decompositions of the abelian h and of the h_T of their SK_2 only:
+    # each chunk's call builds its abelian h, and each SK_2 layer is read once
+    calls = _engine_calls(monkeypatch, "verify", "7", "thm61")
     functions = list(enumerate_hessenberg_functions(7))
     chunks = [functions[i : i + 108] for i in range(0, 429, 108)]
-    assert len(groups) == sum(-(-len(chunk) // cli._GROUP) for chunk in chunks)
-    # each abelian h of n = 7 reaches the engine, in its group's call
-    built = {h for hs in calls if hs not in ("in", "out") for h in hs if h.n == 7}
-    assert built == {h for h in functions if roots.is_abelian(h)}
+    own = [[h for h in chunk if roots.is_abelian(h)] for chunk in chunks]
+    assert [(hs, built) for kind, hs, built in calls if kind == "chunk"] == [
+        (hs, set(hs)) for hs in own
+    ]
+    assert sum(kind == "layer" for kind, _, _ in calls) == sum(map(len, own))
 
 
 def test_verify_sweep_builds_each_fact_once(monkeypatch):
-    # the h_T prefetch of each group reads SK_k and the abelian test from their
-    # bounded memos; the checks read the same entries, so none is built again
+    # the checks of each h read SK_k and the abelian test from their bounded memos,
+    # so none is built again
     sink_calls, sums = [], []
     real_sink_sets, real_root_sum = orientations.sink_sets, roots.root_sum
 
@@ -337,7 +347,7 @@ def test_verify_sweep_builds_each_fact_once(monkeypatch):
         monkeypatch.setattr(module, "sink_sets", sink_sets)
     monkeypatch.setattr(roots, "root_sum", lambda a, b: sums.append(1) or real_root_sum(a, b))
     monkeypatch.setattr(cli, "_cpu_count", lambda: 1)
-    induction._restrictions.cache_clear()
+    induction._sink_layer.cache_clear()
     roots.is_abelian.cache_clear()
     assert run_cli("verify", "6", "all")[0] == EXIT_OK
     swept = len(sums)
@@ -395,8 +405,8 @@ def test_verify_json_joined_from_worker_text_is_one_json_dump(monkeypatch, stub)
 
 @pytest.mark.parametrize("values, layers", [((3, 4, 5, 6, 6, 6), {2}), ((4, 4, 4, 4), {1, 2})])
 def test_verify_of_one_abelian_h_builds_each_fact_once(monkeypatch, values, layers):
-    # every check of h reads SK_k, is_abelian(h) and its orientation histogram;
-    # each is built once per h
+    # every check of h reads SK_k with its layer sum S, is_abelian(h) and its
+    # orientation histogram; each is built once per h
     h = validate_hessenberg(values)
     calls = []
 
@@ -411,16 +421,20 @@ def test_verify_of_one_abelian_h_builds_each_fact_once(monkeypatch, values, laye
     for module in (orientations, induction, cli):
         monkeypatch.setattr(module, "sink_sets", sink_sets)
     monkeypatch.setattr(roots, "root_sum", counted(roots.root_sum, "root_sum"))
+    monkeypatch.setattr(induction, "decompositions", counted(induction.decompositions, "h_T"))
     histograms = []
     real_histogram = dot_action._sink_set_polynomials
     monkeypatch.setattr(
         dot_action, "_sink_set_polynomials", lambda g: histograms.append(g) or real_histogram(g)
     )
-    induction._restrictions.cache_clear()
+    induction._sink_layer.cache_clear()
     roots.is_abelian.cache_clear()
     dot_action.orientation_histogram.cache_clear()
     assert run_cli("verify", ",".join(map(str, values)), "all")[0] == EXIT_OK
-    assert sorted(k for name, k in calls if name == "sink_sets") == sorted(layers)
+    assert sorted(call[1] for call in calls if call[0] == "sink_sets") == sorted(layers)
+    # S of each layer is summed once, from one decompositions call of its h_T
+    assert induction._sink_layer.cache_info().misses == len(layers)
+    assert sum(name == "h_T" for name, *_ in calls) == len(layers)
     # prop72 and the orientation check share one orientation histogram of h
     assert histograms == [h]
     # the pairwise abelian test sums every ordered pair of roots of I_h once
