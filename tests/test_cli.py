@@ -267,8 +267,8 @@ def test_analyze_output_is_pinned():
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == ANALYZE_PIN_SHA256
 
 
-def _engine_calls(monkeypatch, *argv):
-    """Run argv at one worker from empty memos. Return the decompositions calls made by
+def _engine_calls(monkeypatch, n, suite):
+    """Run verify n suite at one worker from empty memos. Return the decompositions calls made by
     cli for a chunk's own h ("chunk") and by induction for a sink-set layer ("layer"),
     each as (kind, its h, the set of h that its engine passes built), after checking
     that every engine pass is made by one of them, that a layer's h_T share one n below
@@ -297,9 +297,8 @@ def _engine_calls(monkeypatch, *argv):
     monkeypatch.setattr(cli, "_cpu_count", lambda: 1)
     monkeypatch.setattr(dot_action, "_decompositions", {})
     induction._sink_layer.cache_clear()
-    assert run_cli(*argv)[0] == EXIT_OK
+    assert run_cli("verify", str(n), suite)[0] == EXIT_OK
     assert current == [("outside", [], [])]
-    n = int(argv[-2])
     for kind, hs, passes in calls:
         if kind == "layer":
             assert len({h.n for h in hs}) <= 1 and all(h.n < n for h in hs)
@@ -312,7 +311,7 @@ def _engine_calls(monkeypatch, *argv):
 def test_verify_chunk_builds_its_tables_in_one_call(monkeypatch):
     # one decompositions call per chunk of 11 h builds every h of the chunk; each layer
     # that the checks read builds its h_T in one call of its own
-    calls = _engine_calls(monkeypatch, "verify", "5", "all")
+    calls = _engine_calls(monkeypatch, 5, "all")
     functions = list(enumerate_hessenberg_functions(5))
     chunks = [functions[i : i + 11] for i in range(0, 42, 11)]
     assert [(hs, built) for kind, hs, built in calls if kind == "chunk"] == [
@@ -323,7 +322,7 @@ def test_verify_chunk_builds_its_tables_in_one_call(monkeypatch):
 def test_verify_thm61_builds_each_layer_in_one_engine_call_per_n(monkeypatch):
     # thm61 reads the decompositions of the abelian h and of the h_T of their SK_2 only:
     # each chunk's call builds its abelian h, and each SK_2 layer is read once
-    calls = _engine_calls(monkeypatch, "verify", "7", "thm61")
+    calls = _engine_calls(monkeypatch, 7, "thm61")
     functions = list(enumerate_hessenberg_functions(7))
     chunks = [functions[i : i + 108] for i in range(0, 429, 108)]
     own = [[h for h in chunk if roots.is_abelian(h)] for chunk in chunks]
