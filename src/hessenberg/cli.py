@@ -1,12 +1,11 @@
 """Command-line front end: analyze, decompose, betti, orientations, verify, enumerate.
 
-Exit codes: 0 success; 1 usage error, invalid input, unusable --cache-dir or a verify
-worker that ended without reports; 2 size guard (n above --max-n, or above the Poincaré
-engine's bound for decompose, betti and verify); 3 theorem-check failure. Errors print one
-line to stderr. Conjecture findings are reported but never fail the exit code; a closed
-stdout ends the run silently by SIGPIPE. `verify n` checks its sweep as chunks of h, which
-this process and one forked child per further CPU take from a pipe, and prints the reports
-in sweep order. --cache-dir keeps one checksummed Betti table per h.
+Exit codes: 0 success; 1 usage error, invalid input or a verify worker that ended
+without reports; 2 size guard (n above --max-n, or above the Poincaré engine's bound for
+decompose, betti and verify); 3 theorem-check failure. Errors print one line to stderr.
+Conjecture findings are reported but never fail the exit code; a closed stdout ends the run
+silently by SIGPIPE. `verify n` checks its sweep as chunks of h, which this process and one
+forked child per further CPU take from a pipe, and prints the reports in sweep order.
 
 As a library, main(argv, out) may be called many times in one process: the parser is
 built on the first call and reused by every later one.
@@ -21,21 +20,14 @@ import os
 import pickle
 import signal
 import sys
-import tempfile
 from functools import lru_cache
-from math import factorial
-from pathlib import Path
 from typing import Any, NamedTuple, NoReturn, Optional, Sequence
-
-import numpy as np
 
 from .betti import SizeGuard, poincare_polynomial, poincare_size_guard
 from .dot_action import (
     CHROMATIC_MAX_N,
-    GradedRepDecomposition,
     chromatic_check,
     decompose,
-    decompose_tables,
     decompositions,
     e_positivity_report,
     gasharov_check,
@@ -54,7 +46,6 @@ from .orientations import (
     restrict,
     sink_sets,
 )
-from .partitions import partitions_of
 from .reports import CheckReport
 from .roots import (
     HessenbergError,
@@ -64,7 +55,6 @@ from .roots import (
     is_abelian,
     is_strictly_negative,
     lower_central_series,
-    negative_root_count,
     validate_hessenberg,
 )
 
@@ -80,74 +70,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse default exit code is 2; usage errors are 1 here
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-class TableCache:
-    """One JSON file per h, named by its values, holding the coefficient rows of its
-    Betti table in partitions_of(n) order and the _digest of h and those rows.
-
-    An entry that cannot be read, stores another h, does not hold one row of |Phi_h^-| + 1
-    integers in 0..n! per partition, or fails its digest is a miss: one warning goes to
-    stderr and the entry is rewritten. Entries are written to a temporary file in the cache
-    directory and renamed into place, so no reader sees a partly written entry.
-    """
-
-    def __init__(self, root: Path):
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-
-    def decompose(self, h: HessenbergFunction) -> GradedRepDecomposition:
-        """The decomposition of h, solved from its stored table, or decompose(h) on a miss."""
-        path = self.root / f"{_partition_key(h.values)}.json"
-        rows = self._read(path, list(h.values), len(partitions_of(h.n)), negative_root_count(h) + 1)
-        if rows is not None:
-            return decompose_tables([h], [rows])[0]
-        dec = decompose(h)
-        rows = dec.table.tolist()
-        self._write(path, {"h": list(h.values), "rows": rows, "sha256": _digest(h.values, rows)})
-        return dec
-
-    @staticmethod
-    def _read(path: Path, h: list[int], count: int, size: int) -> Optional[np.ndarray]:
-        """The stored rows as an int64 array, or None for a missing or unusable entry."""
-        top = factorial(len(h))  # a Betti number counts permutations; 13! < 2**63 fits int64
-        try:
-            payload = json.loads(path.read_text())
-            rows = payload["rows"]
-            if payload["h"] != h:
-                problem = "stores another h"
-            # JSON has no container of ints but a list, so lengths, types and bounds suffice
-            elif len(rows) != count or not all(
-                len(row) == size and all(type(c) is int and 0 <= c <= top for c in row)
-                for row in rows
-            ):
-                problem = "has malformed rows"
-            elif payload.get("sha256") != _digest(h, rows):
-                problem = "fails its sha256 digest"
-            else:
-                return np.array(rows, dtype=np.int64)
-        except FileNotFoundError:
-            return None
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            problem = f"is unreadable ({type(exc).__name__})"
-        print(f"hessenberg: cache entry {path} {problem}; recomputing it", file=sys.stderr)
-        return None
-
-    def _write(self, path: Path, payload: dict) -> None:
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(payload, fh, sort_keys=True)
-            os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
-
-
-def _digest(h: Sequence[int], rows: list) -> str:
-    """The sha256 of a cache entry's h and rows, which the entry stores beside them."""
-    import hashlib  # loading OpenSSL adds 3.5 MB to the RSS of every run; only --cache-dir reads it
-    return hashlib.sha256(json.dumps([list(h), rows]).encode()).hexdigest()
 
 
 def _parse_ints(text: str, what: str) -> list[int]:
@@ -207,7 +129,7 @@ def cmd_analyze(args, out) -> int:
             {
                 "T": list(t.vertices),
                 "deg": t.degree,
-                "h_T": list(restrict(h, t).values) if m < h.n else [],
+                "h_T": list(restrict(graph, t).values) if m < h.n else [],
             }
             for t in sk[m]
         ],
@@ -232,7 +154,7 @@ def cmd_decompose(args, out) -> int:
     h = _parse_h(args.h)
     _guard(h.n, args.max_n)
     poincare_size_guard(h.n)
-    dec = TableCache(Path(args.cache_dir)).decompose(h) if args.cache_dir else decompose(h)
+    dec = decompose(h)
     positivity = e_positivity_report(h, dec)
     c = dec.c.tolist()
     if args.format == "csv":
@@ -271,7 +193,7 @@ def cmd_betti(args, out) -> int:
         nu = _parse_composition(args.nu, h.n)
         nus, table = [nu], [poincare_polynomial(nu, h).tolist()]
     else:
-        dec = TableCache(Path(args.cache_dir)).decompose(h) if args.cache_dir else decompose(h)
+        dec = decompose(h)
         nus, table = dec.order.partitions, dec.table.tolist()
     rows = [
         {"nu": list(nu), "h": list(h.values), "coeffs": coeffs} for nu, coeffs in zip(nus, table)
@@ -527,9 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
     # --help shows the module docstring up to its last paragraph, which is for library use
     parser = _Parser(prog="hessenberg", description=__doc__.rpartition("\n\n")[0])
     parser.add_argument("--max-n", type=int, default=7, help="size guard (default 7)")
-    parser.add_argument(
-        "--cache-dir", default=None, help="per-h Betti table files (decompose; betti without --nu)"
-    )
+    # accepted and ignored until the benchmark's cache8 workload, which passes it, goes
+    parser.add_argument("--cache-dir", help=argparse.SUPPRESS)
     parser.add_argument(
         "--format", choices=("json", "csv", "pretty"), default="json", help="output format"
     )
@@ -585,7 +506,7 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     except HessenbergError as exc:
         print(f"hessenberg: invalid input: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except OSError as exc:  # e.g. an unwritable --cache-dir, or a verify worker that died
+    except OSError as exc:  # e.g. a verify worker that died (ChildProcessError)
         print(f"hessenberg: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -20,17 +20,14 @@ from hessenberg.cli import (
     EXIT_OK,
     EXIT_SIZE_GUARD,
     EXIT_USAGE,
-    TableCache,
     main,
 )
 from hessenberg.dot_action import decompose
-from hessenberg.partitions import partitions_of
 from hessenberg.reports import CheckReport
 from hessenberg.roots import (
     HessenbergError,
     enumerate_hessenberg_functions,
     ideal_of,
-    negative_root_count,
     validate_hessenberg,
 )
 
@@ -265,6 +262,24 @@ def test_analyze_output_is_pinned():
             code = main(["--max-n", "8", "--format", fmt, "analyze", h], out)
             out.write(f"rc={code}\n")
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == ANALYZE_PIN_SHA256
+
+
+def test_analyze_builds_the_graph_of_h_once(monkeypatch):
+    # restrict reads the graph that analyze built; each h_T still builds its own for its check
+    built, build_graph = [], orientations.build_graph
+
+    def counted(h):
+        built.append(list(h.values))
+        return build_graph(h)
+
+    monkeypatch.setattr(orientations, "build_graph", counted)
+    monkeypatch.setattr(cli, "build_graph", counted)
+    for text in ("2,3,4,5,6,7,8,8", "5,5,5,5,5"):
+        built.clear()
+        code, out = run_cli("--max-n", "8", "analyze", text)
+        h_ts = [t["h_T"] for t in json.loads(out)["max_sink_sets"]]
+        assert code == EXIT_OK and len(h_ts) > 1
+        assert built == [[int(v) for v in text.split(",")]] + h_ts
 
 
 def _engine_calls(monkeypatch, n, suite):
@@ -649,7 +664,6 @@ BEYOND_ENGINE = ",".join([str(MAX_POINCARE_N + 1)] * (MAX_POINCARE_N + 1))
         (("--max-n", "20", "betti", BEYOND_ENGINE), EXIT_SIZE_GUARD),
         (("--max-n", "20", "decompose", BEYOND_ENGINE), EXIT_SIZE_GUARD),
         (("--max-n", "20", "verify", str(MAX_POINCARE_N + 1)), EXIT_SIZE_GUARD),
-        (("--cache-dir", __file__, "decompose", "2,2"), EXIT_USAGE),  # a file, not a dir
         (("--format", "csv", "verify", "3"), EXIT_USAGE),
         (("--format", "csv", "orientations", "2,2"), EXIT_USAGE),
     ],
@@ -701,15 +715,6 @@ def test_main_never_raises_on_fuzzed_argv(argv):
     assert code in (EXIT_OK, EXIT_USAGE, EXIT_SIZE_GUARD, EXIT_CHECK_FAILED)
 
 
-def _cached_runs(cache_dir, *argv):
-    """stdout of argv uncached, then on a first and a second run with cache_dir."""
-    return [
-        run_cli(*argv),
-        run_cli("--cache-dir", str(cache_dir), *argv),
-        run_cli("--cache-dir", str(cache_dir), *argv),
-    ]
-
-
 SMALL_H = [
     ",".join(map(str, h.values)) for n in range(1, 5) for h in enumerate_hessenberg_functions(n)
 ]
@@ -718,134 +723,15 @@ SMALL_H = [
 @pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
 @pytest.mark.parametrize("h", SMALL_H)
 def test_cache_reproduces_uncached_for_every_small_h(tmp_path, capsys, h, fmt):
-    cache_dir = tmp_path / "cache"
+    # --cache-dir is parsed and ignored: the plain output, no directory made, and a file
+    # given in its place is no error
     for command in ("decompose", "betti"):
-        plain, first, second = _cached_runs(cache_dir, "--format", fmt, command, h)
-        assert plain[0] == EXIT_OK and first == second == plain
-    assert [p.name for p in cache_dir.iterdir()] == [f"{h}.json"]
+        plain = run_cli("--format", fmt, command, h)
+        assert plain[0] == EXIT_OK
+        for cache_dir in (tmp_path / "cache", __file__):
+            assert run_cli("--cache-dir", str(cache_dir), "--format", fmt, command, h) == plain
+    assert list(tmp_path.iterdir()) == []
     assert capsys.readouterr().err == ""
-
-
-def test_cache_reproduces_uncached(tmp_path):
-    cache_dir = tmp_path / "cache"
-    for h in ("2,3,4,4", "2,3,4,5,5"):
-        for fmt in ("json", "csv", "pretty"):
-            for command in ("decompose", "betti"):
-                plain, first, second = _cached_runs(cache_dir, "--format", fmt, command, h)
-                assert first == second == plain
-    assert sorted(p.name for p in cache_dir.iterdir()) == ["2,3,4,4.json", "2,3,4,5,5.json"]
-
-
-def test_cache_object_round_trip(tmp_path):
-    cache = TableCache(tmp_path / "c")
-    h = validate_hessenberg([3, 4, 5, 5, 5])
-    direct = decompose(h)
-    for _ in range(2):  # a miss that writes the entry, then a hit
-        dec = cache.decompose(h)
-        assert dec == direct
-        assert dec.table.tolist() == direct.table.tolist()
-    payload = json.loads((tmp_path / "c" / "3,4,5,5,5.json").read_text())
-    rows = direct.table.tolist()
-    digest = hashlib.sha256(json.dumps([[3, 4, 5, 5, 5], rows]).encode()).hexdigest()
-    assert payload == {"h": [3, 4, 5, 5, 5], "rows": rows, "sha256": digest}
-
-
-def test_cache_betti_nu_creates_no_file(tmp_path):
-    cache_dir = tmp_path / "cache"
-    cache_dir.mkdir()
-    plain = run_cli("betti", "2,3,4,5,5", "--nu", "3,0,2")
-    assert run_cli("--cache-dir", str(cache_dir), "betti", "2,3,4,5,5", "--nu", "3,0,2") == plain
-    assert list(cache_dir.iterdir()) == []
-
-
-def test_cache_ignores_old_layout_entries(tmp_path, capsys):
-    cache_dir = tmp_path / "cache"
-    cache_dir.mkdir()
-    key = {"n": 3, "h": [2, 3, 3], "nu": [2, 1]}  # one polynomial per (n, h, nu), sha256-named
-    old = cache_dir / f"{hashlib.sha256(json.dumps(key, sort_keys=True).encode()).hexdigest()}.json"
-    old_text = json.dumps({"key": key, "coeffs": [9, 9, 9]})
-    old.write_text(old_text)
-    plain, first, second = _cached_runs(cache_dir, "decompose", "2,3,3")
-    assert first == second == plain
-    assert capsys.readouterr().err == ""
-    assert sorted(p.name for p in cache_dir.iterdir()) == sorted([old.name, "2,3,3.json"])
-    assert old.read_text() == old_text
-
-
-# one h per kind of damage; each run below must warn once per entry
-DAMAGE = {
-    "2,3,4,4": ("unreadable", lambda good: json.dumps(good)[:7]),
-    "3,3,4,4": ("another h", lambda good: json.dumps({**good, "h": [2, 3, 4, 4]})),
-    "2,4,4,4": ("malformed", lambda good: json.dumps({**good, "rows": good["rows"][1:]})),
-    "3,4,4,4": (
-        "malformed",
-        lambda good: json.dumps({**good, "rows": [r[:-1] for r in good["rows"]]}),
-    ),
-    "4,4,4,4": (
-        "malformed",
-        lambda good: json.dumps({**good, "rows": [[1.0] + r[1:] for r in good["rows"]]}),
-    ),
-    # well formed, but rows[0][0] is one too high: solved, it prints c_{(2,1),0} = -3
-    "2,3,3": (
-        "sha256",
-        lambda good: json.dumps(
-            {**good, "rows": [[r[0] + (i == 0)] + r[1:] for i, r in enumerate(good["rows"])]}
-        ),
-    ),
-    "3,3,3": ("sha256", lambda good: json.dumps({k: v for k, v in good.items() if k != "sha256"})),
-    # rows[0][0] is 2**63, one beyond int64, under a sha256 recomputed to match it
-    "2,2,4,4": ("malformed", lambda good: _redigested(good, [[2**63] + good["rows"][0][1:]])),
-    # checksummed, but rows[0][0] lies outside 0..n!: solved, 2**62 gives no integral c
-    # and -1 gives a negative c for an abelian h
-    "2,2,3": ("malformed", lambda good: _redigested(good, [[2**62] + good["rows"][0][1:]])),
-    "1,3,3": ("malformed", lambda good: _redigested(good, [[-1] + good["rows"][0][1:]])),
-}
-
-
-def _redigested(good, first_rows):
-    """The entry good with its leading rows replaced and its sha256 recomputed to match."""
-    rows = first_rows + good["rows"][len(first_rows) :]
-    digest = hashlib.sha256(json.dumps([good["h"], rows]).encode()).hexdigest()
-    return json.dumps({**good, "rows": rows, "sha256": digest})
-
-
-def test_cache_damaged_entries_are_misses(tmp_path, capsys):
-    cache_dir = tmp_path / "cache"
-    plain = {h: run_cli("decompose", h) for h in DAMAGE}
-    for h in DAMAGE:
-        assert run_cli("--cache-dir", str(cache_dir), "decompose", h) == plain[h]
-    good = {h: (cache_dir / f"{h}.json").read_text() for h in DAMAGE}
-    for h, (_, damage) in DAMAGE.items():
-        (cache_dir / f"{h}.json").write_text(damage(json.loads(good[h])))
-    capsys.readouterr()
-
-    for h, (problem, _) in DAMAGE.items():
-        assert run_cli("--cache-dir", str(cache_dir), "decompose", h) == plain[h]
-        warnings = capsys.readouterr().err.splitlines()
-        assert len(warnings) == 1
-        assert f"{h}.json" in warnings[0] and problem in warnings[0]
-
-    # every entry was rewritten, and no temporary file is left behind
-    for h in DAMAGE:
-        assert run_cli("--cache-dir", str(cache_dir), "decompose", h) == plain[h]
-        assert (cache_dir / f"{h}.json").read_text() == good[h]
-    assert capsys.readouterr().err == ""
-    assert sorted(p.name for p in cache_dir.iterdir()) == sorted(f"{h}.json" for h in DAMAGE)
-
-
-def test_cache_entry_beyond_the_engine_bound_is_not_read(tmp_path, capsys):
-    # a well-formed, checksummed entry of all-zero rows past the engine's bound: the size
-    # guard comes before the cache, as it does without the entry
-    h = validate_hessenberg([MAX_POINCARE_N + 1] * (MAX_POINCARE_N + 1))
-    rows = [[0] * (negative_root_count(h) + 1) for _ in partitions_of(h.n)]
-    text = ",".join(map(str, h.values))
-    (tmp_path / f"{text}.json").write_text(_redigested({"h": list(h.values), "rows": rows}, []))
-    for command in ("decompose", "betti"):
-        code, out = run_cli("--max-n", str(h.n), "--cache-dir", str(tmp_path), command, text)
-        captured = capsys.readouterr()
-        assert (code, out, captured.out) == (EXIT_SIZE_GUARD, "", "")
-        assert captured.err.startswith("hessenberg: size guard: ")
-        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
 
 
 @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
