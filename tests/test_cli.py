@@ -664,6 +664,7 @@ BEYOND_ENGINE = ",".join([str(MAX_POINCARE_N + 1)] * (MAX_POINCARE_N + 1))
         (("--max-n", "20", "betti", BEYOND_ENGINE), EXIT_SIZE_GUARD),
         (("--max-n", "20", "decompose", BEYOND_ENGINE), EXIT_SIZE_GUARD),
         (("--max-n", "20", "verify", str(MAX_POINCARE_N + 1)), EXIT_SIZE_GUARD),
+        (("decompose", "3,2,3"), EXIT_USAGE),  # not weakly increasing
         (("--format", "csv", "verify", "3"), EXIT_USAGE),
         (("--format", "csv", "orientations", "2,2"), EXIT_USAGE),
     ],
